@@ -166,11 +166,10 @@ fn bench_gate(_c: &mut Criterion) {
     let ratio = baseline.map(|b| scenarios_per_sec / b);
     let pass = floor.is_none_or(|f| scenarios_per_sec >= f);
 
-    // Batch-kernel lane occupancy from the instrumented run: the
-    // core-count-bucketed feasibility prefetch exists to keep these lanes
-    // full, so the gate record surfaces the mean occupancy and the scalar
-    // fallback count as first-class fields (the full histogram stays inside
-    // the embedded metrics document).
+    // Batch-kernel lane occupancy from the instrumented run. Only partition
+    // admission records it, so the gate record surfaces that kernel's mean
+    // occupancy and scalar fallback count as first-class fields (the full
+    // histogram stays inside the embedded metrics document).
     let snapshot = obs.registry().snapshot();
     let mean_lanes_filled = snapshot
         .histograms

@@ -1,11 +1,10 @@
-//! Criterion bench / ablation: the closed-form period adaptation vs the
-//! iterative GP solver on the same Eq. (7) instances (the paper solves these
-//! with GPkit + CVXOPT; the closed form is what makes HYDRA cheap here).
+//! Criterion bench: the closed-form period adaptation of Eq. (7) (the paper
+//! solves these instances with GPkit + CVXOPT; the closed form is what makes
+//! HYDRA cheap here).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gp_solver::SolverOptions;
 use hydra_core::interference::InterferenceBound;
-use hydra_core::period::{adapt_period, adapt_period_gp};
+use hydra_core::period::adapt_period;
 use hydra_core::SecurityTask;
 use rt_core::Time;
 
@@ -28,19 +27,6 @@ fn bench_period_adaptation(c: &mut Criterion) {
     c.bench_function("period_adaptation_closed_form", |b| {
         b.iter(|| adapt_period(std::hint::black_box(&task), std::hint::black_box(&bound)));
     });
-    let mut group = c.benchmark_group("period_adaptation_gp");
-    group.sample_size(10);
-    group.bench_function("gp_solver", |b| {
-        let options = SolverOptions::fast();
-        b.iter(|| {
-            adapt_period_gp(
-                std::hint::black_box(&task),
-                std::hint::black_box(&bound),
-                &options,
-            )
-        });
-    });
-    group.finish();
 }
 
 criterion_group!(benches, bench_period_adaptation);

@@ -1,5 +1,5 @@
-//! Criterion bench: the scalar response-time / demand analyses vs the
-//! 8-lane structure-of-arrays batch kernels of `rt-core::batch`, on the
+//! Criterion bench: the scalar response-time analysis vs the 8-lane
+//! structure-of-arrays batch kernel of `rt-core::batch`, on the
 //! task-set shapes the sweep engine actually feeds them (synthetic
 //! workloads at the paper's utilization band, small per-core lists through
 //! full platform-sized sets).
@@ -23,8 +23,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hydra_bench::record::BenchRecord;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rt_core::batch::{BatchDemandKernel, BatchRtaKernel, LANES};
-use rt_core::dbf::necessary_condition_default_horizon;
+use rt_core::batch::{BatchRtaKernel, LANES};
 use rt_core::rta::{response_times_into, ResponseTime};
 use rt_core::{PriorityAssignment, PriorityPolicy, TaskId, TaskSet};
 use taskgen::synthetic::{generate_problem, SyntheticConfig};
@@ -119,41 +118,6 @@ fn bench_rta_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_demand_kernel(c: &mut Criterion) {
-    // The Eq. (1) necessary condition: scalar per-set demand sums vs the
-    // lockstep 8-lane kernel over the same default horizon.
-    let mut group = c.benchmark_group("demand_kernel_64_sets");
-    group.sample_size(20);
-    for &cores in &[2usize, 8] {
-        let sets = prepare(cores, 64, 31 + cores as u64);
-        group.bench_with_input(BenchmarkId::new("scalar", cores), &sets, |b, sets| {
-            b.iter(|| {
-                sets.iter()
-                    .filter(|p| {
-                        necessary_condition_default_horizon(std::hint::black_box(&p.set), cores)
-                    })
-                    .count()
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("batch", cores), &sets, |b, sets| {
-            let mut kernel = BatchDemandKernel::new();
-            b.iter(|| {
-                let mut feasible = 0usize;
-                for chunk in sets.chunks(LANES) {
-                    kernel.begin(chunk.len());
-                    for (lane, p) in chunk.iter().enumerate() {
-                        kernel.load_default_horizon(lane, std::hint::black_box(&p.set), cores);
-                    }
-                    let ok = kernel.check(cores);
-                    feasible += ok[..chunk.len()].iter().filter(|&&v| v).count();
-                }
-                feasible
-            });
-        });
-    }
-    group.finish();
-}
-
 /// Times `run` in whole-workload repetitions for at least ~0.4 s and
 /// returns (sets/sec, the last repetition's verdict count).
 fn throughput(sets_per_pass: usize, mut run: impl FnMut() -> usize) -> (f64, usize) {
@@ -206,5 +170,5 @@ fn bench_record(_c: &mut Criterion) {
     );
 }
 
-criterion_group!(benches, bench_record, bench_rta_kernel, bench_demand_kernel);
+criterion_group!(benches, bench_record, bench_rta_kernel);
 criterion_main!(benches);

@@ -60,6 +60,7 @@ use crate::allocation::{Allocation, AllocationError, AllocationProblem, Security
 use crate::allocator::Allocator;
 use crate::interference::{rt_interference_on, InterferenceBound};
 use crate::joint::{optimize_core_periods, CorePlan, JointOptions};
+use crate::period::minimize_linear_fractional;
 use crate::security::{SecurityTask, SecurityTaskId};
 
 /// Safety margin of the bound-based prune: a subtree is cut only when its
@@ -359,8 +360,7 @@ impl<'a> Search<'a> {
         let lower = task.desired_period().as_ticks() as f64;
         let upper = task.max_period().as_ticks() as f64;
         let a = task.wcet().as_ticks() as f64 + bound.constant;
-        let period =
-            gp_solver::scalar::minimize_linear_fractional(lower, upper, a, bound.slope).value()?;
+        let period = minimize_linear_fractional(lower, upper, a, bound.slope)?;
         Some(task.tightness(Time::from_ticks(period.ceil() as u64)))
     }
 

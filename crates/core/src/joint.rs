@@ -30,6 +30,7 @@ use rt_core::Time;
 use crate::allocation::{Allocation, AllocationProblem, SecurityPlacement};
 use crate::batch::LaneBounds;
 use crate::interference::{rt_interference_on, InterferenceBound};
+use crate::period::minimize_linear_fractional;
 use crate::security::SecurityTask;
 
 /// Parameters of the coordinate-ascent refinement.
@@ -87,7 +88,7 @@ fn greedy_periods(tasks: &[&SecurityTask], rt_bound: &InterferenceBound) -> Opti
         let upper = task.max_period().as_ticks() as f64;
         let a = task.wcet().as_ticks() as f64 + bound.constant;
         let b = bound.slope;
-        let p = gp_solver::scalar::minimize_linear_fractional(lower, upper, a, b).value()?;
+        let p = minimize_linear_fractional(lower, upper, a, b)?;
         periods.push(p.ceil());
     }
     Some(periods)
@@ -112,7 +113,7 @@ fn regreedify_suffix(
         let upper = task.max_period().as_ticks() as f64;
         let a = task.wcet().as_ticks() as f64 + bound.constant;
         let b = bound.slope;
-        match gp_solver::scalar::minimize_linear_fractional(lower, upper, a, b).value() {
+        match minimize_linear_fractional(lower, upper, a, b) {
             Some(p) => periods[i] = p.ceil(),
             None => return false,
         }
@@ -193,7 +194,7 @@ fn scan_grid_batched(
                 }
                 let a = base_a + bounds.constant[lane];
                 let b = bounds.slope[lane];
-                match gp_solver::scalar::minimize_linear_fractional(lower, upper, a, b).value() {
+                match minimize_linear_fractional(lower, upper, a, b) {
                     Some(p) => {
                         let granted = Time::from_ticks(p.ceil() as u64);
                         bounds.add_task(lane, lp.wcet(), granted);
@@ -271,9 +272,7 @@ pub fn optimize_core_periods_with_mode(
                 let upper = task.max_period().as_ticks() as f64;
                 let a = task.wcet().as_ticks() as f64 + bound.constant;
                 let b = bound.slope;
-                let Some(min_feasible) =
-                    gp_solver::scalar::minimize_linear_fractional(lower, upper, a, b).value()
-                else {
+                let Some(min_feasible) = minimize_linear_fractional(lower, upper, a, b) else {
                     continue;
                 };
                 let lo = min_feasible.max(lower);
@@ -550,8 +549,8 @@ mod tests {
     #[test]
     fn saturated_greedy_leaves_nothing_for_the_refinement() {
         // Every task reaches tightness 1 greedily (no interference worth
-        // mentioning): the refinement and the iterative GP fallback must
-        // terminate without changing anything — there is no headroom left.
+        // mentioning): the refinement must terminate without changing
+        // anything — there is no headroom left.
         let t1 = sec(10, 5_000, 50_000);
         let t2 = sec(20, 8_000, 80_000);
         let tasks = vec![&t1, &t2];
@@ -560,13 +559,14 @@ mod tests {
         assert!((greedy.weighted_tightness - 2.0).abs() < 1e-12);
         let refined = optimize_core_periods(&tasks, &b, &JointOptions::default()).unwrap();
         assert_eq!(refined.periods, greedy.periods);
-        // The GP solver agrees per task: with greedy already saturated it
-        // must fall back to the same desired periods, not "improve" them.
+        // The bisection oracle agrees per task: with greedy already
+        // saturated it lands on the same desired periods, not "better" ones.
         for task in &tasks {
-            let gp = crate::period::adapt_period_gp(task, &b, &gp_solver::SolverOptions::default())
-                .unwrap();
-            assert_eq!(gp.period, task.desired_period());
-            assert_eq!(gp.tightness, 1.0);
+            let lower = task.desired_period().as_ticks() as f64;
+            let upper = task.max_period().as_ticks() as f64;
+            let a = task.wcet().as_ticks() as f64 + b.constant;
+            let x = crate::period::bisect_linear_fractional(lower, upper, a, b.slope).unwrap();
+            assert_eq!(Time::from_ticks(x.ceil() as u64), task.desired_period());
         }
     }
 

@@ -17,13 +17,9 @@
 //! ```
 //!
 //! feasible iff `slope < 1` and `T_s* ≤ T_s^max`. [`adapt_period`] implements
-//! the closed form (used on the allocator hot path);
-//! [`adapt_period_gp`] solves the same instance with the iterative
-//! [`gp_solver`] for cross-checking, mirroring the paper's GPkit/CVXOPT
-//! pipeline.
+//! the closed form; the unit tests cross-check it against a bisection
+//! search of the same constraint.
 
-use gp_solver::scalar::minimize_linear_fractional;
-use gp_solver::{GpProblem, Monomial, Posynomial, SolverOptions};
 use rt_core::Time;
 
 use crate::interference::InterferenceBound;
@@ -48,6 +44,42 @@ impl PeriodChoice {
     }
 }
 
+/// Minimises `x` subject to `lower ≤ x ≤ upper` and `a + b·x ≤ x` — the
+/// shape of Eq. (7), with `a ≥ 0` the task's WCET plus the constant part of
+/// its interference and `b ≥ 0` the interfering utilisation. Maximising the
+/// tightness `lower / x` is the same as minimising `x`, so the optimum is
+/// `max(lower, a / (1 − b))`, feasible iff `b < 1` and it is `≤ upper`.
+///
+/// Returns `None` when no value in `[lower, upper]` satisfies the constraint.
+///
+/// # Panics
+///
+/// Panics if `lower`, `upper`, `a` or `b` is negative or not finite, or if
+/// `lower > upper` or `lower` is zero.
+#[must_use]
+pub(crate) fn minimize_linear_fractional(lower: f64, upper: f64, a: f64, b: f64) -> Option<f64> {
+    assert!(
+        lower.is_finite() && upper.is_finite() && a.is_finite() && b.is_finite(),
+        "all parameters must be finite"
+    );
+    assert!(lower > 0.0, "lower bound must be positive, got {lower}");
+    assert!(
+        upper >= lower,
+        "upper bound {upper} below lower bound {lower}"
+    );
+    assert!(a >= 0.0 && b >= 0.0, "a and b must be non-negative");
+
+    if b >= 1.0 {
+        // The constraint a + b·x ≤ x can never hold for positive a (and for
+        // a = 0 only in the degenerate limit), so the problem is infeasible
+        // unless a == 0 and b == 1 exactly, which we still reject: an
+        // interfering load of 100% leaves no slack for the task itself.
+        return None;
+    }
+    let x = (a / (1.0 - b)).max(lower);
+    (x <= upper).then_some(x)
+}
+
 /// Solves Eq. (7) in closed form.
 ///
 /// Returns `None` when no period in `[T^des, T^max]` satisfies the
@@ -59,7 +91,7 @@ pub fn adapt_period(task: &SecurityTask, interference: &InterferenceBound) -> Op
     let upper = task.max_period().as_ticks() as f64;
     let a = task.wcet().as_ticks() as f64 + interference.constant;
     let b = interference.slope;
-    let solution = minimize_linear_fractional(lower, upper, a, b).value()?;
+    let solution = minimize_linear_fractional(lower, upper, a, b)?;
     // Round up to a whole tick: this keeps the schedulability constraint
     // satisfied (larger periods only relax it) and stays within T^max because
     // the bound itself is ≤ the integral T^max.
@@ -71,50 +103,35 @@ pub fn adapt_period(task: &SecurityTask, interference: &InterferenceBound) -> Op
     })
 }
 
-/// Solves the same instance as [`adapt_period`] with the iterative GP solver
-/// (the path the paper takes via GPkit + CVXOPT). Intended for cross-checks
-/// and the ablation bench; roughly three orders of magnitude slower than the
-/// closed form.
-#[must_use]
-pub fn adapt_period_gp(
-    task: &SecurityTask,
-    interference: &InterferenceBound,
-    options: &SolverOptions,
-) -> Option<PeriodChoice> {
-    // Work in milliseconds to keep the GP well-scaled regardless of the tick
-    // resolution.
-    const SCALE: f64 = 1_000.0;
-    let lower = task.desired_period().as_ticks() as f64 / SCALE;
-    let upper = task.max_period().as_ticks() as f64 / SCALE;
-    let a = (task.wcet().as_ticks() as f64 + interference.constant) / SCALE;
-    let b = interference.slope;
-
-    // minimise T  subject to  a·T^-1 + b ≤ 1,  lower ≤ T ≤ upper.
-    let mut problem = GpProblem::new(1);
-    problem.set_objective(Posynomial::from(Monomial::new(1.0, vec![1.0])));
-    let mut constraint = Posynomial::from(Monomial::new(a.max(1e-12), vec![-1.0]));
-    if b > 0.0 {
-        constraint.push(Monomial::constant(b, 1));
-    }
-    problem.add_constraint_le(constraint);
-    problem.add_bounds(0, lower, upper);
-    problem.set_initial_point(vec![upper]);
-
-    let solution = problem.solve(options).ok()?;
-    if !solution.is_feasible() {
+/// Test-only oracle for Eq. (7): the smallest `x` in `[lower, upper]` with
+/// `a + b·x ≤ x`, found by bisecting the constraint instead of using the
+/// closed form. The result lies within about `1e-9 · upper` of the optimum.
+#[cfg(test)]
+pub(crate) fn bisect_linear_fractional(lower: f64, upper: f64, a: f64, b: f64) -> Option<f64> {
+    let fits = |x: f64| a + b * x <= x;
+    if !fits(upper) {
         return None;
     }
-    let ticks = (solution.values[0] * SCALE).ceil().max(lower * SCALE) as u64;
-    let period = Time::from_ticks(ticks.min(task.max_period().as_ticks()));
-    Some(PeriodChoice {
-        period,
-        tightness: task.tightness(period),
-    })
+    if fits(lower) {
+        return Some(lower);
+    }
+    // Invariant: `lo` violates the constraint, `hi` satisfies it.
+    let (mut lo, mut hi) = (lower, upper);
+    while hi - lo > 1e-9 * upper {
+        let mid = 0.5 * (lo + hi);
+        if fits(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    Some(hi)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rt_core::Time;
 
     fn sec(c_ms: u64, tdes_ms: u64, tmax_ms: u64) -> SecurityTask {
@@ -130,6 +147,125 @@ mod tests {
         InterferenceBound {
             constant: constant_ms * 1_000.0,
             slope,
+        }
+    }
+
+    /// [`adapt_period`]'s instance solved by the bisection oracle, rounded
+    /// up to a whole tick.
+    fn bisected_period(task: &SecurityTask, b: &InterferenceBound) -> Option<Time> {
+        let x = bisect_linear_fractional(
+            task.desired_period().as_ticks() as f64,
+            task.max_period().as_ticks() as f64,
+            task.wcet().as_ticks() as f64 + b.constant,
+            b.slope,
+        )?;
+        Some(Time::from_ticks(x.ceil() as u64))
+    }
+
+    #[test]
+    fn unconstrained_by_interference_returns_lower_bound() {
+        // No interference at all: the desired (lower) value is achievable.
+        assert_eq!(
+            minimize_linear_fractional(10.0, 100.0, 2.0, 0.0),
+            Some(10.0)
+        );
+    }
+
+    #[test]
+    fn interference_pushes_value_up() {
+        // a = 4, b = 0.5 → required 8; lower 5 → optimum 8.
+        assert_eq!(minimize_linear_fractional(5.0, 100.0, 4.0, 0.5), Some(8.0));
+    }
+
+    #[test]
+    fn infeasible_when_requirement_exceeds_upper() {
+        assert_eq!(minimize_linear_fractional(5.0, 7.9, 4.0, 0.5), None);
+    }
+
+    #[test]
+    fn infeasible_when_interfering_load_saturates() {
+        assert_eq!(minimize_linear_fractional(1.0, 1e9, 0.5, 1.0), None);
+        assert_eq!(minimize_linear_fractional(1.0, 1e9, 0.5, 1.5), None);
+    }
+
+    #[test]
+    fn boundary_feasibility_at_upper() {
+        assert_eq!(minimize_linear_fractional(5.0, 8.0, 4.0, 0.5), Some(8.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "lower bound must be positive")]
+    fn zero_lower_bound_panics() {
+        let _ = minimize_linear_fractional(0.0, 1.0, 0.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "below lower bound")]
+    fn inverted_bounds_panic() {
+        let _ = minimize_linear_fractional(2.0, 1.0, 0.0, 0.0);
+    }
+
+    #[test]
+    fn closed_form_matches_bisection_oracle() {
+        let cases = [
+            (10.0, 200.0, 3.0, 0.4),
+            (50.0, 500.0, 20.0, 0.7),
+            (5.0, 50.0, 0.5, 0.05),
+            (100.0, 1000.0, 90.0, 0.2),
+        ];
+        for (lower, upper, a, b) in cases {
+            let closed =
+                minimize_linear_fractional(lower, upper, a, b).expect("cases are feasible");
+            let bisected = bisect_linear_fractional(lower, upper, a, b).expect("same cases");
+            assert!(
+                (bisected - closed).abs() <= 2e-9 * upper,
+                "bisection {bisected} vs closed form {closed} (case a={a}, b={b})"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn closed_form_satisfies_all_constraints(
+            lower in 1.0f64..100.0,
+            span in 1.0f64..1000.0,
+            a in 0.0f64..200.0,
+            b in 0.0f64..1.5,
+        ) {
+            let upper = lower + span;
+            match minimize_linear_fractional(lower, upper, a, b) {
+                Some(x) => {
+                    prop_assert!(x >= lower - 1e-9);
+                    prop_assert!(x <= upper + 1e-9);
+                    prop_assert!(a + b * x <= x + 1e-6);
+                }
+                None => {
+                    // The most generous candidate is x = upper; it must
+                    // violate the linear constraint (otherwise the problem
+                    // was feasible).
+                    prop_assert!(a + b * upper > upper - 1e-9);
+                }
+            }
+        }
+
+        #[test]
+        fn closed_form_is_minimal(
+            lower in 1.0f64..100.0,
+            span in 1.0f64..1000.0,
+            a in 0.0f64..200.0,
+            b in 0.0f64..0.95,
+        ) {
+            let upper = lower + span;
+            if let Some(x) = minimize_linear_fractional(lower, upper, a, b) {
+                // Any strictly smaller value within the box violates the
+                // linear constraint, unless x is already at the lower bound.
+                if x > lower + 1e-9 {
+                    let smaller = (x - 1e-6).max(lower);
+                    prop_assert!(a + b * smaller > smaller - 1e-4);
+                }
+            }
         }
     }
 
@@ -186,7 +322,7 @@ mod tests {
     }
 
     #[test]
-    fn gp_solver_agrees_with_closed_form() {
+    fn bisection_oracle_agrees_with_closed_form() {
         let cases = [
             (sec(10, 1000, 10_000), bound(0.0, 0.0)),
             (sec(100, 400, 4000), bound(200.0, 0.4)),
@@ -195,46 +331,41 @@ mod tests {
         ];
         for (task, b) in cases {
             let closed = adapt_period(&task, &b).unwrap();
-            let gp = adapt_period_gp(&task, &b, &SolverOptions::default()).unwrap();
-            let rel = (gp.period.as_ticks() as f64 - closed.period.as_ticks() as f64).abs()
-                / closed.period.as_ticks() as f64;
+            let bisected = bisected_period(&task, &b).unwrap();
+            // Rounding up may land one tick apart when the optimum sits
+            // within the bisection tolerance of a whole tick.
             assert!(
-                rel < 5e-3,
-                "GP {} vs closed form {} for {task}",
-                gp.period,
+                bisected.as_ticks().abs_diff(closed.period.as_ticks()) <= 1,
+                "bisection {bisected} vs closed form {} for {task}",
                 closed.period
             );
-            assert!((gp.tightness - closed.tightness).abs() < 5e-3);
+            assert!((task.tightness(bisected) - closed.tightness).abs() < 1e-5);
         }
     }
 
     #[test]
-    fn gp_solver_detects_infeasibility() {
+    fn bisection_oracle_detects_infeasibility() {
         let task = sec(100, 500, 1500);
         let b = bound(800.0, 0.5);
         assert_eq!(adapt_period(&task, &b), None);
-        assert_eq!(adapt_period_gp(&task, &b, &SolverOptions::default()), None);
+        assert_eq!(bisected_period(&task, &b), None);
     }
 
     #[test]
     fn zero_slack_task_gets_exactly_its_pinned_period_or_nothing() {
         // T^des == T^max leaves no adaptation room: the closed form and the
-        // GP path both grant exactly that period when it is feasible and
-        // report infeasibility otherwise.
+        // bisection oracle both grant exactly that period when it is
+        // feasible and report infeasibility otherwise.
         let pinned = sec(100, 2000, 2000);
         let ok = bound(300.0, 0.4);
         let choice = adapt_period(&pinned, &ok).unwrap();
         assert_eq!(choice.period, Time::from_millis(2000));
         assert_eq!(choice.tightness, 1.0);
-        let gp = adapt_period_gp(&pinned, &ok, &SolverOptions::default()).unwrap();
-        assert_eq!(gp.period, choice.period);
+        assert_eq!(bisected_period(&pinned, &ok), Some(choice.period));
         // (100 + 1500)/(1 − 0.5) = 3200 ms > 2000 ms: nothing fits.
         let too_much = bound(1500.0, 0.5);
         assert_eq!(adapt_period(&pinned, &too_much), None);
-        assert_eq!(
-            adapt_period_gp(&pinned, &too_much, &SolverOptions::default()),
-            None
-        );
+        assert_eq!(bisected_period(&pinned, &too_much), None);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use rt_partition::{partition_tasks, CoreId, Partition};
 use crate::allocation::{Allocation, AllocationError, AllocationProblem, SecurityPlacement};
 use crate::allocator::Allocator;
 use crate::interference::{rt_interference_on, security_interference, InterferenceBound};
-use crate::period::PeriodChoice;
+use crate::period::{minimize_linear_fractional, PeriodChoice};
 use crate::security::{SecurityTaskId, SecurityTaskSet};
 
 /// Errors specific to precedence handling.
@@ -324,13 +324,9 @@ impl PrecedenceHydraAllocator {
                 let lower_ticks = lower.as_ticks() as f64;
                 let upper_ticks = task.max_period().as_ticks() as f64;
                 let a = task.wcet().as_ticks() as f64 + bound.constant;
-                let Some(period) = gp_solver::scalar::minimize_linear_fractional(
-                    lower_ticks,
-                    upper_ticks,
-                    a,
-                    bound.slope,
-                )
-                .value() else {
+                let Some(period) =
+                    minimize_linear_fractional(lower_ticks, upper_ticks, a, bound.slope)
+                else {
                     continue;
                 };
                 let period = rt_core::Time::from_ticks(period.ceil() as u64);

@@ -1,11 +1,10 @@
 //! Structure-of-arrays batch kernels for the hot analysis math.
 //!
 //! The sweep engine evaluates thousands of closely related schedulability
-//! questions: the same fixed-point recurrence (response-time analysis) and
-//! the same demand sums (the Eq. (1) necessary condition) over task sets
-//! that differ only in one column of the design grid. The scalar analyses
-//! in [`crate::rta`] and [`crate::dbf`] walk those one task at a time; the
-//! kernels here restructure the same math into **lanes**: fixed-width
+//! questions: the same fixed-point recurrence (response-time analysis) over
+//! per-core task lists that differ only in one candidate row. The scalar
+//! analysis in [`crate::rta`] walks those one task at a time; the kernel
+//! here restructures the same math into **lanes**: fixed-width
 //! arrays-of-[`LANES`] columns (`[u64; LANES]` per task row) advanced in
 //! lockstep, one iteration moving all lanes at once behind per-lane
 //! converged/unschedulable masks.
@@ -15,24 +14,21 @@
 //! division chains of the RTA recurrence do not vectorize on most targets,
 //! but eight independent chains give the out-of-order core real
 //! instruction-level parallelism, and the surrounding bookkeeping
-//! (interference sums, masks, demand accumulation) does vectorize.
+//! (interference sums, masks) does vectorize.
 //!
 //! # Oracle contract
 //!
-//! The scalar implementations remain the differential oracle: for every
+//! The scalar implementation remains the differential oracle: for every
 //! lane, [`BatchRtaKernel`] produces **bit-identical** [`ResponseTime`]
 //! verdicts to [`crate::rta::response_time_with_interference`] over the
-//! same rows, and [`BatchDemandKernel`] reproduces
-//! [`crate::dbf::necessary_condition_default_horizon`] exactly. This holds
-//! because every per-lane operation sequence is the scalar sequence:
-//! saturating `u64` sums of non-negative terms are order-independent
-//! (the result is `min(exact total, u64::MAX)` in every order), so adding
-//! interferers in row order instead of task-id order cannot change a
-//! single bit. The property is pinned by differential proptests below.
+//! same rows. This holds because every per-lane operation sequence is the
+//! scalar sequence: saturating `u64` sums of non-negative terms are
+//! order-independent (the result is `min(exact total, u64::MAX)` in every
+//! order), so adding interferers in row order instead of task-id order
+//! cannot change a single bit. The property is pinned by differential
+//! proptests below.
 
-use crate::dbf::demand_check_points;
 use crate::rta::ResponseTime;
-use crate::task::TaskSet;
 use crate::time::Time;
 
 /// The fixed lane width of every batch kernel: eight 64-bit columns, one
@@ -367,173 +363,12 @@ struct Acc {
     row: [usize; LANES],
 }
 
-/// A structure-of-arrays demand kernel for the Eq. (1) necessary condition:
-/// up to [`LANES`] task sets checked in lockstep against the same core
-/// count, each over its own absolute-deadline check points.
-#[derive(Debug, Default)]
-pub struct BatchDemandKernel {
-    wcet: Vec<[u64; LANES]>,
-    period: Vec<[u64; LANES]>,
-    deadline: Vec<[u64; LANES]>,
-    len: [usize; LANES],
-    points: [Vec<u64>; LANES],
-    /// A verdict decided before any demand evaluation (empty set, or the
-    /// long-run utilisation precheck).
-    prejudged: [Option<bool>; LANES],
-    lanes: usize,
-}
-
-/// Mirrors the check-point cap of [`crate::dbf::necessary_condition_holds`].
-const MAX_POINTS: usize = 8192;
-
-impl BatchDemandKernel {
-    /// Creates an empty kernel.
-    #[must_use]
-    pub fn new() -> Self {
-        BatchDemandKernel::default()
-    }
-
-    /// Resets the kernel for a batch of `lanes` occupied lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes > LANES`.
-    pub fn begin(&mut self, lanes: usize) {
-        assert!(lanes <= LANES, "a batch holds at most {LANES} lanes");
-        for row in &mut self.wcet {
-            *row = [0; LANES];
-        }
-        for row in &mut self.period {
-            *row = [1; LANES];
-        }
-        // A pad deadline of `u64::MAX` keeps pad cells demand-free at every
-        // reachable check point (and wcet 0 covers the saturated corner).
-        for row in &mut self.deadline {
-            *row = [u64::MAX; LANES];
-        }
-        self.len = [0; LANES];
-        for pts in &mut self.points {
-            pts.clear();
-        }
-        self.prejudged = [None; LANES];
-        self.lanes = lanes;
-    }
-
-    /// Loads `tasks` into `lane` with the customary default horizon of
-    /// [`crate::dbf::necessary_condition_default_horizon`]: twice the
-    /// largest period. `cores` feeds the long-run utilisation precheck.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn load_default_horizon(&mut self, lane: usize, tasks: &TaskSet, cores: usize) {
-        assert!(lane < self.lanes, "lane {lane} out of {} lanes", self.lanes);
-        if tasks.is_empty() {
-            self.prejudged[lane] = Some(true);
-            return;
-        }
-        if tasks.total_utilization() > cores as f64 + 1e-9 {
-            self.prejudged[lane] = Some(false);
-            return;
-        }
-        let horizon = tasks.max_period().unwrap_or(Time::ZERO).saturating_mul(2);
-        for task in tasks.tasks() {
-            let row = self.len[lane];
-            if row == self.wcet.len() {
-                self.wcet.push([0; LANES]);
-                self.period.push([1; LANES]);
-                self.deadline.push([u64::MAX; LANES]);
-            }
-            self.wcet[row][lane] = task.wcet().as_ticks();
-            self.period[row][lane] = task.period().as_ticks();
-            self.deadline[row][lane] = task.deadline().as_ticks();
-            self.len[lane] = row + 1;
-        }
-        self.points[lane].clear();
-        self.points[lane].extend(
-            demand_check_points(tasks, horizon, MAX_POINTS)
-                .iter()
-                .map(|t| t.as_ticks()),
-        );
-    }
-
-    /// Evaluates every lane's Eq. (1) verdict against `cores` cores,
-    /// bit-identical per lane to
-    /// [`crate::dbf::necessary_condition_default_horizon`].
-    #[must_use]
-    pub fn check(&self, cores: usize) -> [bool; LANES] {
-        let m = cores as u64;
-        let mut verdict = [true; LANES];
-        let mut done = [false; LANES];
-        let mut rows = 0usize;
-        let mut max_points = 0usize;
-        for lane in 0..self.lanes {
-            if let Some(v) = self.prejudged[lane] {
-                verdict[lane] = v;
-                done[lane] = true;
-            } else {
-                rows = rows.max(self.len[lane]);
-                max_points = max_points.max(self.points[lane].len());
-            }
-        }
-        for k in 0..max_points {
-            let mut t = [0u64; LANES];
-            let mut live = false;
-            for lane in 0..self.lanes {
-                if done[lane] {
-                    continue;
-                }
-                match self.points[lane].get(k) {
-                    Some(&point) => {
-                        t[lane] = point;
-                        live = true;
-                    }
-                    None => done[lane] = true,
-                }
-            }
-            if !live {
-                break;
-            }
-            // Lockstep demand accumulation: exact integer DBF per cell.
-            // Cells whose deadline lies past the check point (pad cells
-            // included — their deadline is `u64::MAX`, and lanes past their
-            // point list sit at t = 0) contribute nothing; the guard is a
-            // branch rather than a mask because the `u64` division it
-            // skips never vectorizes anyway, and most cells fail it at
-            // early check points.
-            let mut demand = [0u64; LANES];
-            for j in 0..rows {
-                let w = &self.wcet[j];
-                let p = &self.period[j];
-                let d = &self.deadline[j];
-                for lane in 0..LANES {
-                    if t[lane] >= d[lane] {
-                        let jobs = (t[lane] - d[lane]) / p[lane] + 1;
-                        demand[lane] = demand[lane].saturating_add(w[lane].saturating_mul(jobs));
-                    }
-                }
-            }
-            for lane in 0..self.lanes {
-                if !done[lane] && demand[lane] > t[lane].saturating_mul(m) {
-                    verdict[lane] = false;
-                    done[lane] = true;
-                }
-            }
-            if done[..self.lanes].iter().all(|&d| d) {
-                break;
-            }
-        }
-        verdict
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dbf::necessary_condition_default_horizon;
     use crate::priority::{PriorityAssignment, PriorityPolicy};
     use crate::rta::{response_time_with_interference, response_times};
-    use crate::task::RtTask;
+    use crate::task::{RtTask, TaskSet};
     use proptest::prelude::*;
 
     fn task(c_ms: u64, t_ms: u64) -> RtTask {
@@ -639,29 +474,6 @@ mod tests {
         assert!(!b.is_empty());
     }
 
-    #[test]
-    fn batch_demand_matches_scalar_on_small_sets() {
-        let feasible: TaskSet = vec![task(6, 10), task(6, 10)].into_iter().collect();
-        let overloaded: TaskSet = vec![task(8, 10), task(8, 10), task(8, 10)]
-            .into_iter()
-            .collect();
-        let mut kernel = BatchDemandKernel::new();
-        kernel.begin(3);
-        kernel.load_default_horizon(0, &feasible, 2);
-        kernel.load_default_horizon(1, &overloaded, 2);
-        kernel.load_default_horizon(2, &TaskSet::empty(), 2);
-        let verdicts = kernel.check(2);
-        assert_eq!(
-            verdicts[0],
-            necessary_condition_default_horizon(&feasible, 2)
-        );
-        assert_eq!(
-            verdicts[1],
-            necessary_condition_default_horizon(&overloaded, 2)
-        );
-        assert!(verdicts[2]);
-    }
-
     /// Random constrained-deadline tasks, overload very much included: tight
     /// deadlines and WCETs up to the full period.
     fn arb_task() -> impl Strategy<Value = RtTask> {
@@ -722,25 +534,6 @@ mod tests {
             let ok = kernel.verdicts();
             for (lane, set) in sets.iter().enumerate() {
                 prop_assert_eq!(ok[lane], crate::rta::is_schedulable_rm(set));
-            }
-        }
-
-        #[test]
-        fn batch_demand_is_bit_identical_to_scalar_lane_by_lane(
-            sets in prop::collection::vec(arb_set(12), 1..=LANES),
-            cores in 1usize..5
-        ) {
-            let mut kernel = BatchDemandKernel::new();
-            kernel.begin(sets.len());
-            for (lane, set) in sets.iter().enumerate() {
-                kernel.load_default_horizon(lane, set, cores);
-            }
-            let verdicts = kernel.check(cores);
-            for (lane, set) in sets.iter().enumerate() {
-                prop_assert_eq!(
-                    verdicts[lane],
-                    necessary_condition_default_horizon(set, cores)
-                );
             }
         }
 

@@ -53,8 +53,7 @@ pub fn total_demand(tasks: &TaskSet, t: Time) -> Time {
 /// The check points at which [`necessary_condition_holds`] evaluates the
 /// demand: every absolute deadline `k · T_i + D_i ≤ horizon`, capped at
 /// `max_points` values (the smallest deadlines are kept when capping).
-#[must_use]
-pub fn demand_check_points(tasks: &TaskSet, horizon: Time, max_points: usize) -> Vec<Time> {
+fn demand_check_points(tasks: &TaskSet, horizon: Time, max_points: usize) -> Vec<Time> {
     let mut points: Vec<Time> = Vec::new();
     for task in tasks.tasks() {
         let mut d = task.deadline();

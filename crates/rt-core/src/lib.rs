@@ -15,7 +15,7 @@
 //!   Eq. (1) of the paper ([`dbf`]),
 //! * exact response-time analysis for fixed-priority preemptive uniprocessor
 //!   scheduling ([`rta`]),
-//! * structure-of-arrays batch kernels evaluating up to eight RTA / Eq. (1)
+//! * a structure-of-arrays batch kernel evaluating up to eight RTA
 //!   instances per recurrence iteration ([`batch`]), and
 //! * hyperperiod computation ([`hyperperiod`]).
 //!

@@ -2,14 +2,14 @@
 //!
 //! Two views cover the paper's evaluation and most follow-on questions:
 //!
-//! * [`SweepAccumulator`] / [`aggregate`] — per `(cores, allocator, period
-//!   policy, utilization)` group: acceptance ratio over the
-//!   Eq. (1)-feasible task sets, and mean / p50 / p99 of the cumulative
-//!   tightness over the scheduled ones;
-//! * [`PairedSink`] / [`paired_comparison`] — joins two allocators' outcomes
-//!   on the shared problem instance (same seed-stream address, same period
-//!   policy) and reports the tightness gap over the task sets **both**
-//!   schemes scheduled, which is exactly the Figure 3 metric.
+//! * [`SweepAccumulator`] — per `(cores, allocator, period policy,
+//!   utilization)` group: acceptance ratio over the Eq. (1)-feasible task
+//!   sets, and mean / p50 / p99 of the cumulative tightness over the
+//!   scheduled ones;
+//! * [`PairedSink`] — joins two allocators' outcomes on the shared problem
+//!   instance (same seed-stream address, same period policy) and reports
+//!   the tightness gap over the task sets **both** schemes scheduled, which
+//!   is exactly the Figure 3 metric.
 //!
 //! Both are **online**: they fold outcomes one at a time, so the streaming
 //! executor never has to retain the full outcome vector. The executor keeps
@@ -294,22 +294,6 @@ impl SweepAccumulator {
     }
 }
 
-/// Groups outcomes by `(cores, allocator, utilization)` and summarises each
-/// group — the buffered convenience wrapper over [`SweepAccumulator`].
-#[deprecated(
-    since = "0.1.0",
-    note = "stream into a `SweepAccumulator` (or read `StreamSummary::partial`) instead of \
-            buffering the whole sweep; this shim will be removed next release"
-)]
-#[must_use]
-pub fn aggregate(outcomes: &[ScenarioOutcome]) -> Vec<AggregateRow> {
-    let mut acc = SweepAccumulator::new();
-    for outcome in outcomes {
-        acc.record(outcome);
-    }
-    acc.rows()
-}
-
 /// One point of a paired two-scheme comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PairedPoint {
@@ -459,47 +443,50 @@ impl OutcomeSink for PairedSink {
     }
 }
 
-/// Joins the outcomes of allocators `a` and `b` on their shared problem
-/// instances — the buffered convenience wrapper over [`PairedSink`].
-///
-/// With `a = Hydra` and `b = Optimal` this is the Figure 3 series.
-#[deprecated(
-    since = "0.1.0",
-    note = "stream into a `PairedSink` instead of buffering the whole sweep; this shim will \
-            be removed next release"
-)]
-#[must_use]
-pub fn paired_comparison(
-    outcomes: &[ScenarioOutcome],
-    a: AllocatorKind,
-    b: AllocatorKind,
-) -> Vec<PairedPoint> {
-    let mut sink = PairedSink::new(a, b);
-    for outcome in outcomes {
-        sink.fold(outcome);
-    }
-    sink.into_points()
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the buffered shims stay covered until their removal
 mod tests {
     use super::*;
     use crate::exec::Executor;
     use crate::spec::{ScenarioSpec, UtilizationGrid};
 
-    fn sweep() -> Vec<ScenarioOutcome> {
+    fn spec() -> ScenarioSpec {
         let mut spec = ScenarioSpec::synthetic("agg-test");
         spec.cores = vec![2];
         spec.utilizations = UtilizationGrid::Fractions(vec![0.15, 0.4]);
         spec.allocators = vec![AllocatorKind::Hydra, AllocatorKind::SingleCore];
         spec.trials = 4;
-        Executor::serial().run(&spec).outcomes
+        spec
+    }
+
+    fn sweep() -> Vec<ScenarioOutcome> {
+        Executor::serial().run(&spec()).outcomes
+    }
+
+    /// Folds `outcomes` through one accumulator in order.
+    fn rows_of(outcomes: &[ScenarioOutcome]) -> Vec<AggregateRow> {
+        let mut acc = SweepAccumulator::new();
+        for outcome in outcomes {
+            acc.record(outcome);
+        }
+        acc.rows()
+    }
+
+    /// Folds `outcomes` through one paired sink in order.
+    fn paired(
+        outcomes: &[ScenarioOutcome],
+        a: AllocatorKind,
+        b: AllocatorKind,
+    ) -> Vec<PairedPoint> {
+        let mut sink = PairedSink::new(a, b);
+        for outcome in outcomes {
+            sink.fold(outcome);
+        }
+        sink.into_points()
     }
 
     #[test]
     fn aggregate_groups_by_cores_allocator_and_utilization() {
-        let rows = aggregate(&sweep());
+        let rows = rows_of(&sweep());
         // 1 core count × 2 allocators × 2 utilization points.
         assert_eq!(rows.len(), 4);
         for row in &rows {
@@ -545,7 +532,7 @@ mod tests {
         merged.merge(a);
         merged.merge(b);
         assert_eq!(merged.recorded(), outcomes.len());
-        assert_eq!(merged.rows(), aggregate(&outcomes));
+        assert_eq!(merged.rows(), rows_of(&outcomes));
     }
 
     #[test]
@@ -580,7 +567,7 @@ mod tests {
     #[test]
     fn paired_comparison_joins_on_the_shared_problem() {
         let outcomes = sweep();
-        let points = paired_comparison(&outcomes, AllocatorKind::Hydra, AllocatorKind::SingleCore);
+        let points = paired(&outcomes, AllocatorKind::Hydra, AllocatorKind::SingleCore);
         assert_eq!(points.len(), 2);
         for p in &points {
             assert!(p.compared <= 4);
@@ -596,17 +583,18 @@ mod tests {
 
     #[test]
     fn paired_sink_streams_to_the_same_series() {
-        let outcomes = sweep();
+        // The sink fed by a parallel streaming run sees the outcomes in grid
+        // order, exactly like a fold over the buffered serial outcomes.
         let mut sink = PairedSink::new(AllocatorKind::Hydra, AllocatorKind::SingleCore);
-        for outcome in &outcomes {
-            sink.record(outcome).unwrap();
-        }
+        Executor::with_threads(2)
+            .run_streaming(&spec(), &mut sink)
+            .unwrap();
         // Grid order pairs the two schemes back to back, so no join state
         // lingers once the stream ends.
         assert!(sink.pending.is_empty());
         assert_eq!(
             sink.into_points(),
-            paired_comparison(&outcomes, AllocatorKind::Hydra, AllocatorKind::SingleCore)
+            paired(&sweep(), AllocatorKind::Hydra, AllocatorKind::SingleCore)
         );
     }
 
@@ -621,14 +609,14 @@ mod tests {
         spec.trials = 3;
         let outcomes = Executor::serial().run(&spec).outcomes;
         // 1 core count × 2 allocators × 2 policies × 1 utilization point.
-        let rows = aggregate(&outcomes);
+        let rows = rows_of(&outcomes);
         assert_eq!(rows.len(), 4);
         for policy in [PeriodPolicy::Fixed, PeriodPolicy::Joint] {
             assert_eq!(rows.iter().filter(|r| r.policy == policy).count(), 2);
         }
         // The paired join never mixes policies: one series per policy, each
         // comparing at most the per-policy trial count.
-        let points = paired_comparison(&outcomes, AllocatorKind::Hydra, AllocatorKind::SingleCore);
+        let points = paired(&outcomes, AllocatorKind::Hydra, AllocatorKind::SingleCore);
         assert_eq!(points.len(), 2);
         assert_eq!(points[0].policy, PeriodPolicy::Fixed);
         assert_eq!(points[1].policy, PeriodPolicy::Joint);
@@ -646,8 +634,11 @@ mod tests {
 
     #[test]
     fn empty_outcomes_produce_empty_series() {
-        assert!(aggregate(&[]).is_empty());
-        assert!(paired_comparison(&[], AllocatorKind::Hydra, AllocatorKind::Optimal).is_empty());
         assert!(SweepAccumulator::new().rows().is_empty());
+        assert!(
+            PairedSink::new(AllocatorKind::Hydra, AllocatorKind::Optimal)
+                .into_points()
+                .is_empty()
+        );
     }
 }

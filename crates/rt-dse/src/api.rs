@@ -187,8 +187,10 @@ impl SweepSession {
         self
     }
 
-    /// Analysis-kernel mode: [`BatchMode::Batch`] (default) or the scalar
-    /// reference. Outputs are byte-identical either way.
+    /// Analysis-kernel mode for partition admission and joint period
+    /// refinement: [`BatchMode::Batch`] (default) or the scalar reference.
+    /// The Eq. (1) feasibility filter is scalar in both modes. Outputs are
+    /// byte-identical either way.
     #[must_use]
     pub fn batch_mode(mut self, batch: BatchMode) -> Self {
         self.batch = batch;

@@ -41,7 +41,7 @@ USAGE:
                              (allocators and period policies, one `<axis>
                              <value>` pair per line; `list-allocators` is an
                              alias kept for existing scripts)
-    dse help                 show this message
+    dse help                 show this message (also `dse sweep --help`)
 
 SWEEP OPTIONS:
     --cores A,B,...       core counts to explore            [default: 2,4,8]
@@ -78,8 +78,10 @@ SWEEP OPTIONS:
     --seed S              base seed                         [default: 2018]
     --threads N           worker threads (0 = all cores)    [default: 0]
     --serial              force single-threaded execution
-    --no-batch            evaluate with the scalar analysis kernels instead
-                          of the 8-lane batch kernels (outputs are
+    --no-batch            evaluate partition admission and joint period
+                          refinement with the scalar analysis kernels
+                          instead of the 8-lane batch kernels (the Eq. (1)
+                          filter is scalar in both modes; outputs are
                           byte-identical either way; this flag exists for
                           differential testing and performance comparison)
     --sample N            sample at most N points from the full grid
@@ -127,9 +129,74 @@ SCALE-OUT OPTIONS:
                           (for time-budgeted runs and resume testing)
 ";
 
+/// One sweep option as its `USAGE` line declares it.
+struct UsageOption {
+    /// Whether the next argument is the option's value (`--cores A,B,...`).
+    takes_value: bool,
+    /// Whether the value may follow an `=` instead (`--progress[=SECS]`).
+    inline_value: bool,
+}
+
+/// Looks `name` up among the option lines of [`USAGE`] (the lines indented
+/// by exactly four spaces that start with `--`), so the help text stays the
+/// one list of options `dse sweep` accepts.
+fn usage_option(name: &str) -> Option<UsageOption> {
+    USAGE.lines().find_map(|line| {
+        let decl = line.strip_prefix("    --")?;
+        let token_len = decl.find(' ').unwrap_or(decl.len());
+        let (token, rest) = decl.split_at(token_len);
+        let (declared, inline_value) = match token.split_once("[=") {
+            Some((declared, _)) => (declared, true),
+            None => (token, false),
+        };
+        (name.strip_prefix("--")? == declared).then(|| UsageOption {
+            // A metavariable follows after exactly one space; the help
+            // column starts after several.
+            takes_value: rest.len() > 1 && !rest[1..].starts_with(' '),
+            inline_value,
+        })
+    })
+}
+
 struct Args(Vec<String>);
 
 impl Args {
+    /// Rejects what `dse sweep` does not understand: options missing from
+    /// [`USAGE`], repeated options, value options without a value, and
+    /// stray positional arguments.
+    fn validate(&self) -> Result<(), String> {
+        let mut seen: Vec<&str> = Vec::new();
+        let mut args = self.0.iter();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
+                return Err(format!("unexpected argument {arg}"));
+            }
+            let (name, inline) = match arg.split_once('=') {
+                Some((name, _)) => (name, true),
+                None => (arg.as_str(), false),
+            };
+            let option = usage_option(name)
+                .filter(|o| !inline || o.inline_value)
+                .ok_or_else(|| format!("unknown option {arg}"))?;
+            if seen.contains(&name) {
+                return Err(format!("duplicate option {name}"));
+            }
+            seen.push(name);
+            if option.takes_value {
+                match args.next() {
+                    Some(value) if !value.starts_with("--") => {}
+                    Some(flag) => return Err(format!("option {name} expects a value, got {flag}")),
+                    None => return Err(format!("option {name} expects a value")),
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn help_requested(&self) -> bool {
+        self.0.iter().any(|a| a == "--help" || a == "-h")
+    }
+
     fn value_of(&self, key: &str) -> Option<&str> {
         self.0
             .iter()
@@ -687,8 +754,17 @@ fn run_sweep(args: &Args) -> Result<(), String> {
         Some(ckpt) => (ckpt.jsonl_bytes, ckpt.csv_bytes, ckpt.agg),
         None => (0, 0, SweepAccumulator::new()),
     };
-    let jsonl_file = open_resumable(&jsonl_path, jsonl_base)?;
-    let csv_file = open_resumable(&csv_path, csv_base)?;
+    // A fresh run simply replaces old outputs; only a resume reports the
+    // uncheckpointed bytes it drops.
+    let open = |path: &Path, keep: u64| {
+        if resume {
+            open_resumable(path, keep)
+        } else {
+            fs::File::create(path).map_err(|e| format!("cannot create {}: {e}", path.display()))
+        }
+    };
+    let jsonl_file = open(&jsonl_path, jsonl_base)?;
+    let csv_file = open(&csv_path, csv_base)?;
 
     let mut sink = CheckpointingSink {
         jsonl: JsonlSink::new(BufWriter::new(jsonl_file)),
@@ -889,7 +965,17 @@ fn main() -> ExitCode {
     let args = Args(argv.get(1..).unwrap_or_default().to_vec());
 
     let result = match command {
-        "sweep" => run_sweep(&args),
+        "sweep" if args.help_requested() => {
+            print!("{USAGE}");
+            Ok(())
+        }
+        "sweep" => {
+            if let Err(message) = args.validate() {
+                eprintln!("error: {message}");
+                return ExitCode::from(2);
+            }
+            run_sweep(&args)
+        }
         // `list-allocators` predates the period-policy axis; it is kept as
         // an alias so existing scripts keep discovering valid flag values.
         "list-axes" | "list-allocators" => {

@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use hydra_core::allocator::{Allocator, OptimalAllocator, SingleCoreAllocator};
 use hydra_core::{Allocation, AllocationError, AllocationProblem};
-use rt_core::batch::{BatchDemandKernel, BatchMode, BatchStats, LANES};
+use rt_core::batch::{BatchMode, BatchStats};
 use rt_core::dbf::necessary_condition_default_horizon;
 use rt_core::Time;
 use rt_partition::partition_tasks_with_mode;
@@ -59,18 +59,6 @@ const ATTACK_SALT: u64 = 0xa77a_c852_11fe_c7ed;
 
 /// Fingerprint marking case-study problem keys (no generator config).
 const CASE_STUDY_FINGERPRINT: u64 = u64::MAX;
-
-/// Lookahead width (in grid scenarios) of the batched Eq. (1) feasibility
-/// prefetch: wide enough to span several allocator/policy-axis repetitions
-/// of the same problem address and still collect [`LANES`] distinct task
-/// sets from the utilization/trial axes, while staying well inside the
-/// reorder window so prefetched work is never wasted on unevaluated points.
-const PREFETCH_WINDOW: usize = 64;
-
-/// Cap on problems staged per prefetch window across *all* core-count
-/// buckets (each bucket is additionally capped at [`LANES`], the kernel
-/// width). Bounds the generation work one evaluation may front-load.
-const PREFETCH_STAGE_CAP: usize = 2 * LANES;
 
 /// The contiguous scenario-index range of shard `index` (1-based) out of
 /// `count` equal splits of a grid: concatenating every shard's streamed
@@ -202,13 +190,6 @@ pub struct EvalScratch {
     sim: SimScratch,
     /// The streaming detection observer.
     detector: OnlineDetector,
-    /// The lane-batched Eq. (1) demand kernel of the feasibility prefetch.
-    demand: BatchDemandKernel,
-    /// Problems (with their task-set hashes and core counts) staged for one
-    /// prefetch window; same-cores entries form one kernel bucket.
-    prefetch: Vec<(Arc<AllocationProblem>, u64, usize)>,
-    /// Problem keys already staged in the current prefetch window.
-    prefetch_keys: Vec<ProblemKey>,
 }
 
 impl EvalScratch {
@@ -265,12 +246,12 @@ impl Executor {
     }
 
     /// Selects the analysis-kernel mode: [`BatchMode::Batch`] (the default)
-    /// routes the hot partition-admission RTA, Eq. (1) feasibility and
-    /// joint-refinement math through the lane-batched SoA kernels;
-    /// [`BatchMode::Scalar`] forces the reference scalar implementations
-    /// everywhere. Outputs are byte-identical either way (the determinism
-    /// tests prove it); the switch exists for differential testing and the
-    /// `dse --no-batch` CLI flag.
+    /// routes the hot partition-admission RTA and joint-refinement math
+    /// through the lane-batched SoA kernels; [`BatchMode::Scalar`] forces the
+    /// reference scalar implementations everywhere. The Eq. (1) feasibility
+    /// filter is scalar in both modes. Outputs are byte-identical either way
+    /// (the determinism tests prove it); the switch exists for differential
+    /// testing and the `dse --no-batch` CLI flag.
     #[must_use]
     pub fn with_batch_mode(mut self, batch: BatchMode) -> Self {
         self.batch = batch;
@@ -438,16 +419,7 @@ impl Executor {
                 // histogram only; obs-on/off byte-identity is pinned in CI.
                 #[allow(clippy::disallowed_methods)]
                 let timed = wobs.metrics_enabled().then(Instant::now);
-                let lookahead = &slice[i + 1..slice.len().min(i + 1 + PREFETCH_WINDOW)];
-                let outcome = evaluate(
-                    spec,
-                    scenario,
-                    lookahead,
-                    memo,
-                    &mut scratch,
-                    &wobs,
-                    self.batch,
-                );
+                let outcome = evaluate(spec, scenario, memo, &mut scratch, &wobs, self.batch);
                 wobs.record_scenario(timed.map(|t| t.elapsed()));
                 acc.record(&outcome);
                 let span = wobs.tracer.span(PHASE_SINK);
@@ -589,16 +561,8 @@ impl Executor {
                         // pinned in CI.
                         #[allow(clippy::disallowed_methods)]
                         let timed = wobs.metrics_enabled().then(Instant::now);
-                        let lookahead = &slice[i + 1..slice.len().min(i + 1 + PREFETCH_WINDOW)];
-                        let outcome = evaluate(
-                            spec,
-                            &slice[i],
-                            lookahead,
-                            memo,
-                            &mut scratch,
-                            &wobs,
-                            self.batch,
-                        );
+                        let outcome =
+                            evaluate(spec, &slice[i], memo, &mut scratch, &wobs, self.batch);
                         wobs.record_scenario(timed.map(|t| t.elapsed()));
                         local.record(&outcome);
                         let mut state = drain.lock().expect("drain poisoned");
@@ -655,13 +619,9 @@ impl Executor {
 }
 
 /// Evaluates a single scenario point, reusing the worker's `scratch`.
-/// `lookahead` is the window of grid scenarios after this one, which the
-/// batched feasibility prefetch mines for same-shape lanes.
-#[allow(clippy::too_many_arguments)]
 fn evaluate(
     spec: &ScenarioSpec,
     scenario: &Scenario,
-    lookahead: &[Scenario],
     memo: &MemoCache,
     scratch: &mut EvalScratch,
     wobs: &WorkerObs,
@@ -690,19 +650,6 @@ fn evaluate(
                 )
             });
             let taskset_hash = hash_taskset(&problem.rt_tasks);
-            if mode == BatchMode::Batch {
-                prefetch_feasibility_batch(
-                    spec,
-                    scenario,
-                    key,
-                    &problem,
-                    taskset_hash,
-                    lookahead,
-                    memo,
-                    scratch,
-                    wobs,
-                );
-            }
             let feasible = memo.feasibility(taskset_hash, scenario.cores, || {
                 necessary_condition_default_horizon(&problem.rt_tasks, scenario.cores)
             });
@@ -736,147 +683,6 @@ fn evaluate(
             allocate_and_measure(spec, scenario, key, &problem, memo, scratch, wobs, mode)
         }
     }
-}
-
-/// Lane-batched Eq. (1) prefetch. When the current scenario's feasibility
-/// verdict is uncached, mine the upcoming grid window for other uncached
-/// problems, **bucket them by core count** — every lane of one SoA kernel
-/// pass shares a single capacity bound, so only same-cores problems can ride
-/// together; task counts may differ (short lanes are padded with zero-demand
-/// rows) — and resolve each bucket holding at least two candidates in one
-/// kernel pass. Near a core-axis boundary the window used to collapse to
-/// the current scenario alone and fall back to the scalar path; bucketing
-/// keeps the lanes full by letting the *next* core count's problems fill
-/// their own pass instead of being skipped.
-///
-/// Verdicts enter the memo as *fresh* entries, which defer their miss to the
-/// first counted access, so hit/miss statistics and sweep outputs are
-/// byte-identical to the scalar path. A current-cores bucket yielding a
-/// single lane leaves the verdict to the scalar closure of the counted
-/// access and books a `batch.scalar_fallbacks`; a single-candidate bucket
-/// for a *different* core count books nothing — its problems are prefetched
-/// either way and it pairs up when its own grid region is reached.
-#[allow(clippy::too_many_arguments)]
-fn prefetch_feasibility_batch(
-    spec: &ScenarioSpec,
-    scenario: &Scenario,
-    current_key: ProblemKey,
-    problem: &Arc<AllocationProblem>,
-    taskset_hash: u64,
-    lookahead: &[Scenario],
-    memo: &MemoCache,
-    scratch: &mut EvalScratch,
-    wobs: &WorkerObs,
-) {
-    let Workload::Synthetic(overrides) = &spec.workload else {
-        return;
-    };
-    // The probe also consults the persistent store: a warm store answers
-    // here and the whole batch pass is skipped — per-lane dedup below stays
-    // on the pure in-memory `feasibility_present` so a cold store is not
-    // hammered once per lane.
-    if memo.feasibility_probe(taskset_hash, scenario.cores) {
-        return;
-    }
-    scratch.prefetch.clear();
-    scratch
-        .prefetch
-        .push((Arc::clone(problem), taskset_hash, scenario.cores));
-    scratch.prefetch_keys.clear();
-    scratch.prefetch_keys.push(current_key);
-    for next in lookahead {
-        if scratch.prefetch.len() >= PREFETCH_STAGE_CAP {
-            break;
-        }
-        let Some(utilization) = next.utilization else {
-            continue;
-        };
-        let key = ProblemKey {
-            cores: next.cores,
-            utilization_bits: utilization.to_bits(),
-            base_seed: spec.base_seed,
-            stream: next.problem_stream,
-            config_fingerprint: overrides.fingerprint(),
-        };
-        // The allocator/policy axes repeat problem addresses back to back;
-        // each distinct address contributes at most one lane.
-        if scratch.prefetch_keys.contains(&key) {
-            continue;
-        }
-        scratch.prefetch_keys.push(key);
-        // Per-bucket cap: one kernel pass takes at most LANES lanes.
-        let in_bucket = scratch
-            .prefetch
-            .iter()
-            .filter(|(_, _, c)| *c == next.cores)
-            .count();
-        if in_bucket >= LANES {
-            continue;
-        }
-        let next_problem = memo.prefetch_problem(key, || {
-            let _span = wobs.tracer.span(PHASE_GENERATE);
-            let config = overrides.config_for(next.cores);
-            generate_problem_seeded(&config, utilization, spec.base_seed, next.problem_stream)
-        });
-        let hash = hash_taskset(&next_problem.rt_tasks);
-        if memo.feasibility_present(hash, next.cores)
-            || scratch
-                .prefetch
-                .iter()
-                .any(|(_, h, c)| *h == hash && *c == next.cores)
-        {
-            continue;
-        }
-        scratch.prefetch.push((next_problem, hash, next.cores));
-    }
-    let mut stats = BatchStats::default();
-    // The current scenario's bucket first, then the other core counts in
-    // staged order (order is cosmetic: verdicts are pure functions of their
-    // inputs, so pass order cannot change any byte).
-    let mut bucket_cores: Vec<usize> = vec![scenario.cores];
-    for (_, _, c) in &scratch.prefetch {
-        if !bucket_cores.contains(c) {
-            bucket_cores.push(*c);
-        }
-    }
-    for cores in bucket_cores {
-        let lanes = scratch
-            .prefetch
-            .iter()
-            .filter(|(_, _, c)| *c == cores)
-            .count();
-        if lanes < 2 {
-            if cores == scenario.cores {
-                // Nothing to pair the current scenario with: leave its
-                // verdict to the scalar closure of the counted access.
-                stats.record_fallback();
-            }
-            continue;
-        }
-        scratch.demand.begin(lanes);
-        for (lane, (staged, _, _)) in scratch
-            .prefetch
-            .iter()
-            .filter(|(_, _, c)| *c == cores)
-            .enumerate()
-        {
-            scratch
-                .demand
-                .load_default_horizon(lane, &staged.rt_tasks, cores);
-        }
-        let verdicts = scratch.demand.check(cores);
-        stats.record_batch(lanes);
-        for (lane, (_, hash, _)) in scratch
-            .prefetch
-            .iter()
-            .filter(|(_, _, c)| *c == cores)
-            .enumerate()
-        {
-            memo.prefetch_feasibility(*hash, cores, verdicts[lane]);
-        }
-    }
-    wobs.add_batch_stats(&stats);
-    scratch.prefetch.clear();
 }
 
 /// Builds the scheme's real-time partition inline (one `partition_tasks`
@@ -1135,7 +941,6 @@ fn measure_detection(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // `aggregate` stays the buffered reference until removal
 mod tests {
     use super::*;
     use crate::sink::{to_csv, to_jsonl, CsvSink, JsonlSink};
@@ -1386,11 +1191,13 @@ mod tests {
             String::from_utf8(jsonl.into_inner()).unwrap(),
             to_jsonl(&buffered.outcomes)
         );
-        // The merged per-worker partials equal the buffered aggregation.
-        assert_eq!(
-            summary.partial.rows(),
-            crate::agg::aggregate(&buffered.outcomes)
-        );
+        // The merged per-worker partials equal a one-pass fold of the
+        // buffered outcomes.
+        let mut one_pass = SweepAccumulator::new();
+        for outcome in &buffered.outcomes {
+            one_pass.record(outcome);
+        }
+        assert_eq!(summary.partial.rows(), one_pass.rows());
     }
 
     #[test]

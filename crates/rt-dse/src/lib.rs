@@ -73,10 +73,7 @@ pub mod sink;
 pub mod spec;
 pub mod store;
 
-#[allow(deprecated)]
-pub use agg::{
-    aggregate, paired_comparison, AggregateRow, PairedPoint, PairedSink, SweepAccumulator,
-};
+pub use agg::{AggregateRow, PairedPoint, PairedSink, SweepAccumulator};
 pub use api::{Progress, SweepHandle, SweepSession};
 pub use checkpoint::{sweep_fingerprint, Checkpoint};
 pub use exec::{shard_range, Executor, StreamSummary, SweepResult};
@@ -96,17 +93,13 @@ pub use store::MemoStore;
 
 /// Convenience re-exports for sweep definitions.
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use crate::agg::{aggregate, paired_comparison, PairedSink, SweepAccumulator};
+    pub use crate::agg::{PairedSink, SweepAccumulator};
     pub use crate::api::{Progress, SweepHandle, SweepSession};
     pub use crate::exec::{shard_range, Executor, StreamSummary, SweepResult};
     pub use crate::frontier::{FrontierPlan, FrontierRow, FrontierRunner, FrontierSlice};
     pub use crate::grid::ScenarioGrid;
     pub use crate::scenario::{Scenario, ScenarioOutcome};
-    #[allow(deprecated)]
-    pub use crate::sink::{
-        to_csv, to_jsonl, write_outputs, CsvSink, JsonlSink, NullSink, OutcomeSink, VecSink,
-    };
+    pub use crate::sink::{to_csv, to_jsonl, CsvSink, JsonlSink, NullSink, OutcomeSink, VecSink};
     pub use crate::spec::{
         AllocatorKind, Evaluation, Expansion, ExploreMode, FrontierConfig, PeriodPolicy,
         ScenarioSpec, SyntheticOverrides, UtilizationGrid, Workload,

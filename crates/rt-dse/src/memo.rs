@@ -143,7 +143,9 @@ pub struct MemoStats {
     /// family counters above deliberately do **not** distinguish warm from
     /// cold stores — a store hit still books the family miss the
     /// computation would have booked, keeping them byte-identical across
-    /// store states.
+    /// store states. Every family miss makes exactly one store lookup, so
+    /// with a store attached `store_hits + store_misses` equals the sum of
+    /// the three family miss counters.
     pub store_hits: u64,
     /// Persistent-store misses (all three families): the key was absent —
     /// or its entry corrupt — so the value was computed and written back.
@@ -159,10 +161,6 @@ pub struct MemoStats {
 /// (failures cache too — an unschedulable task set fails once per scheme,
 /// not once per period policy).
 pub type SharedAllocation = Arc<Result<Allocation, AllocationError>>;
-
-/// One shard of a cache family whose values carry the *fresh* flag described
-/// on [`MemoCache`] (true = prefetched, not yet counted).
-type FreshShard<K, V> = Mutex<HashMap<K, (V, bool)>>;
 
 /// Mirror counters on the metrics registry, so the live heartbeat can read
 /// memo traffic mid-sweep instead of waiting for the end-of-run
@@ -183,13 +181,10 @@ struct MemoObsCounters {
 
 /// The shared memoization cache of one sweep execution.
 ///
-/// Problem and feasibility entries carry a *fresh* flag: an entry inserted
-/// by one of the `prefetch_*` methods (the batched lookahead path) is marked
-/// fresh and stays invisible to the hit/miss counters until the first
-/// counted access, which books the miss the scalar path would have booked
-/// and clears the flag. Counters are therefore identical whether batching
-/// is on or off — the property the engine's pinned memo-count tests rely
-/// on.
+/// Every access is counted: a lookup that finds the key books a hit, one
+/// that does not books a miss and reads the store or computes the value.
+/// Nothing is cached ahead of its first access, so the counters depend only
+/// on the sequence of accesses, never on the kernel mode.
 ///
 /// # Persistent backing
 ///
@@ -203,8 +198,8 @@ struct MemoObsCounters {
 #[derive(Debug, Default)]
 pub struct MemoCache {
     store: Option<Arc<MemoStore>>,
-    problems: Vec<FreshShard<ProblemKey, Arc<AllocationProblem>>>,
-    feasibility: Vec<FreshShard<(u64, usize), bool>>,
+    problems: Vec<Mutex<HashMap<ProblemKey, Arc<AllocationProblem>>>>,
+    feasibility: Vec<Mutex<HashMap<(u64, usize), bool>>>,
     allocations: Vec<Mutex<HashMap<AllocationKey, SharedAllocation>>>,
     problem_hits: AtomicU64,
     problem_misses: AtomicU64,
@@ -307,19 +302,11 @@ impl MemoCache {
         key: ProblemKey,
         generate: impl FnOnce() -> AllocationProblem,
     ) -> Arc<AllocationProblem> {
-        let shard = self.problem_shard(key);
-        if let Some((found, fresh)) = shard.lock().expect("memo shard poisoned").get_mut(&key) {
-            if *fresh {
-                // A prefetched entry: the generation already happened on the
-                // lookahead path, but this is the access the scalar engine
-                // would have paid for — book the miss it would have booked.
-                *fresh = false;
-                bump(&self.problem_misses);
-                self.obs.problem_misses.inc();
-            } else {
-                bump(&self.problem_hits);
-                self.obs.problem_hits.inc();
-            }
+        let hash = key.stream ^ key.base_seed.rotate_left(32) ^ (key.cores as u64).rotate_left(48);
+        let shard = &self.problems[Self::shard_of(hash.wrapping_mul(0x9E37_79B9_7F4A_7C15))];
+        if let Some(found) = shard.lock().expect("memo shard poisoned").get(&key) {
+            bump(&self.problem_hits);
+            self.obs.problem_hits.inc();
             return Arc::clone(found);
         }
         bump(&self.problem_misses);
@@ -327,7 +314,7 @@ impl MemoCache {
         if let Some(found) = self.store.as_deref().and_then(|s| s.get_problem(&key)) {
             self.book_store_hit();
             let mut guard = shard.lock().expect("memo shard poisoned");
-            return Arc::clone(&guard.entry(key).or_insert((Arc::new(found), false)).0);
+            return Arc::clone(guard.entry(key).or_insert(Arc::new(found)));
         }
         if self.store.is_some() {
             self.book_store_miss();
@@ -337,44 +324,7 @@ impl MemoCache {
             self.book_store_write(store.put_problem(&key, &generated));
         }
         let mut guard = shard.lock().expect("memo shard poisoned");
-        Arc::clone(&guard.entry(key).or_insert((generated, false)).0)
-    }
-
-    fn problem_shard(
-        &self,
-        key: ProblemKey,
-    ) -> &Mutex<HashMap<ProblemKey, (Arc<AllocationProblem>, bool)>> {
-        let hash = key.stream ^ key.base_seed.rotate_left(32) ^ (key.cores as u64).rotate_left(48);
-        &self.problems[Self::shard_of(hash.wrapping_mul(0x9E37_79B9_7F4A_7C15))]
-    }
-
-    /// Uncounted lookahead access: returns the problem for `key`, generating
-    /// and caching it (marked *fresh*) on a miss. The first counted
-    /// [`MemoCache::problem`] access then books the miss, so prefetching
-    /// never perturbs the hit/miss statistics.
-    pub fn prefetch_problem(
-        &self,
-        key: ProblemKey,
-        generate: impl FnOnce() -> AllocationProblem,
-    ) -> Arc<AllocationProblem> {
-        let shard = self.problem_shard(key);
-        if let Some((found, _)) = shard.lock().expect("memo shard poisoned").get(&key) {
-            return Arc::clone(found);
-        }
-        if let Some(found) = self.store.as_deref().and_then(|s| s.get_problem(&key)) {
-            self.book_store_hit();
-            let mut guard = shard.lock().expect("memo shard poisoned");
-            return Arc::clone(&guard.entry(key).or_insert((Arc::new(found), true)).0);
-        }
-        if self.store.is_some() {
-            self.book_store_miss();
-        }
-        let generated = Arc::new(generate());
-        if let Some(store) = self.store.as_deref() {
-            self.book_store_write(store.put_problem(&key, &generated));
-        }
-        let mut guard = shard.lock().expect("memo shard poisoned");
-        Arc::clone(&guard.entry(key).or_insert((generated, true)).0)
+        Arc::clone(guard.entry(key).or_insert(generated))
     }
 
     /// Returns the cached Eq. (1) verdict for `(taskset_hash, cores)`,
@@ -385,23 +335,16 @@ impl MemoCache {
         cores: usize,
         check: impl FnOnce() -> bool,
     ) -> bool {
-        let shard = self.feasibility_shard(taskset_hash, cores);
-        if let Some((verdict, fresh)) = shard
+        let shard = &self.feasibility
+            [Self::shard_of(taskset_hash.wrapping_add((cores as u64).rotate_left(40)))];
+        if let Some(&verdict) = shard
             .lock()
             .expect("memo shard poisoned")
-            .get_mut(&(taskset_hash, cores))
+            .get(&(taskset_hash, cores))
         {
-            if *fresh {
-                // Batched lookahead computed this verdict; book the miss the
-                // scalar path would have booked (see `prefetch_feasibility`).
-                *fresh = false;
-                bump(&self.feasibility_misses);
-                self.obs.feasibility_misses.inc();
-            } else {
-                bump(&self.feasibility_hits);
-                self.obs.feasibility_hits.inc();
-            }
-            return *verdict;
+            bump(&self.feasibility_hits);
+            self.obs.feasibility_hits.inc();
+            return verdict;
         }
         bump(&self.feasibility_misses);
         self.obs.feasibility_misses.inc();
@@ -412,7 +355,7 @@ impl MemoCache {
                     .lock()
                     .expect("memo shard poisoned")
                     .entry((taskset_hash, cores))
-                    .or_insert((verdict, false));
+                    .or_insert(verdict);
                 return verdict;
             }
             self.book_store_miss();
@@ -425,85 +368,8 @@ impl MemoCache {
             .lock()
             .expect("memo shard poisoned")
             .entry((taskset_hash, cores))
-            .or_insert((verdict, false));
+            .or_insert(verdict);
         verdict
-    }
-
-    fn feasibility_shard(
-        &self,
-        taskset_hash: u64,
-        cores: usize,
-    ) -> &FreshShard<(u64, usize), bool> {
-        &self.feasibility[Self::shard_of(taskset_hash.wrapping_add((cores as u64).rotate_left(40)))]
-    }
-
-    /// Whether a feasibility verdict for `(taskset_hash, cores)` is already
-    /// cached (fresh or not). Uncounted — the lookahead path uses it to pick
-    /// batch lanes without disturbing the statistics.
-    #[must_use]
-    pub fn feasibility_present(&self, taskset_hash: u64, cores: usize) -> bool {
-        self.feasibility_shard(taskset_hash, cores)
-            .lock()
-            .expect("memo shard poisoned")
-            .contains_key(&(taskset_hash, cores))
-    }
-
-    /// Extends [`MemoCache::feasibility_present`] to the persistent store:
-    /// a store hit is pulled into memory (marked *fresh*, so the first
-    /// counted access books the miss the scalar path would have booked) and
-    /// reported as present. Like `feasibility_present`, the per-family
-    /// counters are untouched; only the `store_*` counters move. The
-    /// lookahead path uses this once per scenario to skip batch work a warm
-    /// store has already paid for, while per-lane dedup sticks to the pure
-    /// in-memory probe.
-    #[must_use]
-    pub fn feasibility_probe(&self, taskset_hash: u64, cores: usize) -> bool {
-        if self.feasibility_present(taskset_hash, cores) {
-            return true;
-        }
-        let Some(store) = self.store.as_deref() else {
-            return false;
-        };
-        if let Some(verdict) = store.get_feasibility(taskset_hash, cores) {
-            self.book_store_hit();
-            self.feasibility_shard(taskset_hash, cores)
-                .lock()
-                .expect("memo shard poisoned")
-                .entry((taskset_hash, cores))
-                .or_insert((verdict, true));
-            true
-        } else {
-            self.book_store_miss();
-            false
-        }
-    }
-
-    /// Uncounted lookahead insert of a batch-computed Eq. (1) verdict,
-    /// marked *fresh*: the first counted [`MemoCache::feasibility`] access
-    /// books the miss the scalar path would have booked. An already-present
-    /// entry is left untouched (the racing value is identical — the kernel
-    /// is deterministic). A newly inserted verdict is written through to the
-    /// attached store, if any — the batched path never reaches the scalar
-    /// write-back in [`MemoCache::feasibility`].
-    pub fn prefetch_feasibility(&self, taskset_hash: u64, cores: usize, verdict: bool) {
-        let inserted = {
-            let mut guard = self
-                .feasibility_shard(taskset_hash, cores)
-                .lock()
-                .expect("memo shard poisoned");
-            match guard.entry((taskset_hash, cores)) {
-                std::collections::hash_map::Entry::Occupied(_) => false,
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert((verdict, true));
-                    true
-                }
-            }
-        };
-        if inserted {
-            if let Some(store) = self.store.as_deref() {
-                self.book_store_write(store.put_feasibility(taskset_hash, cores, verdict));
-            }
-        }
     }
 
     /// Returns the cached allocator run for `key`, computing it with
@@ -663,55 +529,6 @@ mod tests {
         assert_eq!(cache.stats().allocation_hits, 3);
     }
 
-    #[test]
-    fn prefetched_problems_defer_their_miss_to_the_first_counted_access() {
-        let cache = MemoCache::new();
-        // Prefetch generates but books nothing.
-        let mut calls = 0;
-        let _ = cache.prefetch_problem(key(1), || {
-            calls += 1;
-            uav_problem()
-        });
-        assert_eq!(calls, 1);
-        assert_eq!(cache.stats(), MemoStats::default());
-        // The first counted access books the miss the scalar path would
-        // have booked — without regenerating.
-        let _ = cache.problem(key(1), || {
-            calls += 1;
-            uav_problem()
-        });
-        assert_eq!(calls, 1);
-        assert_eq!(cache.stats().problem_misses, 1);
-        assert_eq!(cache.stats().problem_hits, 0);
-        // Subsequent accesses hit as usual.
-        let _ = cache.problem(key(1), uav_problem);
-        assert_eq!(cache.stats().problem_hits, 1);
-        // Prefetching an already-counted entry changes nothing.
-        let _ = cache.prefetch_problem(key(1), uav_problem);
-        let _ = cache.problem(key(1), uav_problem);
-        assert_eq!(cache.stats().problem_misses, 1);
-        assert_eq!(cache.stats().problem_hits, 2);
-    }
-
-    #[test]
-    fn prefetched_feasibility_verdicts_are_counter_neutral() {
-        let cache = MemoCache::new();
-        assert!(!cache.feasibility_present(7, 2));
-        cache.prefetch_feasibility(7, 2, true);
-        assert!(cache.feasibility_present(7, 2));
-        assert_eq!(cache.stats(), MemoStats::default());
-        // First counted access: the deferred miss, no recomputation.
-        assert!(cache.feasibility(7, 2, || panic!("verdict was prefetched")));
-        assert_eq!(cache.stats().feasibility_misses, 1);
-        assert_eq!(cache.stats().feasibility_hits, 0);
-        // Second counted access: a plain hit.
-        assert!(cache.feasibility(7, 2, || panic!("verdict was cached")));
-        assert_eq!(cache.stats().feasibility_hits, 1);
-        // A prefetch never overwrites an existing verdict.
-        cache.prefetch_feasibility(7, 2, false);
-        assert!(cache.feasibility(7, 2, || unreachable!()));
-    }
-
     fn store_in(tag: &str) -> (Arc<MemoStore>, std::path::PathBuf) {
         let dir = std::env::temp_dir().join(format!("rt-dse-memo-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -775,49 +592,6 @@ mod tests {
         assert_eq!(stats.store_hits, 1);
         assert_eq!(stats.store_misses, 0);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn feasibility_probe_reaches_the_store_and_defers_the_family_miss() {
-        let (store, dir) = store_in("probe");
-        store.put_feasibility(7, 2, true).expect("seed the store");
-        let cache = MemoCache::new().backed_by(store);
-        // A probe miss books a store miss and computes nothing.
-        assert!(!cache.feasibility_probe(9, 2));
-        assert_eq!(cache.stats().store_misses, 1);
-        // A probe hit pulls the verdict into memory, marked fresh…
-        assert!(cache.feasibility_probe(7, 2));
-        assert!(cache.feasibility_present(7, 2));
-        assert_eq!(cache.stats().store_hits, 1);
-        assert_eq!(cache.stats().feasibility_misses, 0);
-        // …and the first counted access books the deferred family miss.
-        assert!(cache.feasibility(7, 2, || panic!("verdict was probed in")));
-        assert_eq!(cache.stats().feasibility_misses, 1);
-        // A second probe is a pure in-memory answer: no new store traffic.
-        assert!(cache.feasibility_probe(7, 2));
-        assert_eq!(cache.stats().store_hits, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn prefetched_feasibility_writes_through_to_the_store() {
-        let (store, dir) = store_in("prefetch");
-        {
-            let cache = MemoCache::new().backed_by(Arc::clone(&store));
-            cache.prefetch_feasibility(11, 4, false);
-        }
-        assert_eq!(store.get_feasibility(11, 4), Some(false));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn storeless_probe_is_plain_presence() {
-        let cache = MemoCache::new();
-        assert!(!cache.feasibility_probe(1, 2));
-        cache.prefetch_feasibility(1, 2, true);
-        assert!(cache.feasibility_probe(1, 2));
-        assert_eq!(cache.stats().store_hits, 0);
-        assert_eq!(cache.stats().store_misses, 0);
     }
 
     #[test]

@@ -20,13 +20,13 @@
 //! | `memo.{problem,feasibility,allocation}_{hits,misses}` | memo cache traffic |
 //! | `sim.{releases,completions,truncated,preemptions,idle_jumps}` | simulator scheduling events |
 //! | `optimal.{visited,pruned,total}` | branch-and-bound search statistics |
-//! | `batch.scalar_fallbacks` | analyses the batch kernels handed back to the scalar path |
+//! | `batch.scalar_fallbacks` | partition-admission checks the batch kernel handed back to the scalar path |
 //! | `checkpoint.writes` | checkpoint files durably written (CLI only) |
 //!
 //! Gauges: `drain.reorder_depth` — outcomes parked in the reorder buffer.
 //!
 //! Histograms: `sweep.scenario_ns` — per-scenario evaluation latency;
-//! `batch.lanes_filled` — occupied lanes per batch-kernel dispatch.
+//! `batch.lanes_filled` — occupied lanes per partition-admission batch dispatch.
 //!
 //! # Trace tracks
 //!

@@ -15,9 +15,6 @@
 //! compatibility API [`crate::Executor::run`] uses.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
 
 use crate::agg::AggregateRow;
 use crate::scenario::ScenarioOutcome;
@@ -465,56 +462,10 @@ pub fn frontier_to_csv(rows: &[crate::frontier::FrontierRow]) -> String {
     out
 }
 
-/// The files one sweep wrote.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WrittenFiles {
-    /// Per-scenario JSONL records.
-    pub jsonl: PathBuf,
-    /// Per-scenario flat CSV.
-    pub csv: PathBuf,
-    /// Aggregate summary CSV.
-    pub summary: PathBuf,
-}
-
-/// Writes the three renderings to `dir/{name}.jsonl`, `dir/{name}.csv` and
-/// `dir/{name}_summary.csv`, creating `dir` if needed.
-///
-/// # Errors
-///
-/// Returns any I/O error from creating the directory or writing a file.
-#[deprecated(
-    since = "0.1.0",
-    note = "stream through `JsonlSink`/`CsvSink` (as the `dse` CLI does) instead of \
-            buffering the whole sweep; this shim will be removed next release"
-)]
-pub fn write_outputs(
-    dir: impl AsRef<Path>,
-    name: &str,
-    outcomes: &[ScenarioOutcome],
-    rows: &[AggregateRow],
-) -> std::io::Result<WrittenFiles> {
-    let dir = dir.as_ref();
-    fs::create_dir_all(dir)?;
-    let write = |path: &Path, content: &str| -> std::io::Result<()> {
-        let mut file = fs::File::create(path)?;
-        file.write_all(content.as_bytes())
-    };
-    let files = WrittenFiles {
-        jsonl: dir.join(format!("{name}.jsonl")),
-        csv: dir.join(format!("{name}.csv")),
-        summary: dir.join(format!("{name}_summary.csv")),
-    };
-    write(&files.jsonl, &to_jsonl(outcomes))?;
-    write(&files.csv, &to_csv(outcomes))?;
-    write(&files.summary, &summary_to_csv(rows))?;
-    Ok(files)
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the buffered shims stay covered until their removal
 mod tests {
     use super::*;
-    use crate::agg::aggregate;
+    use crate::agg::SweepAccumulator;
     use crate::exec::Executor;
     use crate::scenario::{DetectionStats, Scenario, ScenarioOutcome};
     use crate::spec::{AllocatorKind, ScenarioSpec, UtilizationGrid};
@@ -628,8 +579,11 @@ mod tests {
 
     #[test]
     fn summary_csv_renders_aggregates() {
-        let outcomes = outcomes();
-        let rows = aggregate(&outcomes);
+        let mut acc = SweepAccumulator::new();
+        for outcome in &outcomes() {
+            acc.record(outcome);
+        }
+        let rows = acc.rows();
         let csv = summary_to_csv(&rows);
         assert_eq!(csv.lines().count(), rows.len() + 1);
         assert!(csv.contains("acceptance_ratio"));
@@ -641,21 +595,5 @@ mod tests {
         assert_eq!(json_escape("\u{1}"), "\\u0001");
         assert_eq!(json_f64(f64::NAN), "null");
         assert_eq!(json_f64(1.5), "1.5");
-    }
-
-    #[test]
-    fn outputs_write_to_disk() {
-        let dir = std::env::temp_dir().join("rt_dse_sink_test");
-        let outcomes = outcomes();
-        let rows = aggregate(&outcomes);
-        let files = write_outputs(&dir, "demo", &outcomes, &rows).unwrap();
-        assert!(fs::read_to_string(&files.jsonl).unwrap().contains("hydra"));
-        assert!(fs::read_to_string(&files.csv)
-            .unwrap()
-            .starts_with("index,"));
-        assert!(fs::read_to_string(&files.summary)
-            .unwrap()
-            .starts_with("cores,"));
-        let _ = fs::remove_dir_all(&dir);
     }
 }

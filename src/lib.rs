@@ -9,7 +9,6 @@
 //!   analysis ([`rt_core`]),
 //! * [`partition`] — partitioned multiprocessor scheduling heuristics
 //!   ([`rt_partition`]),
-//! * [`gp`] — the geometric-programming solver substrate ([`gp_solver`]),
 //! * [`hydra`] — the paper's contribution: the security task model, HYDRA,
 //!   SingleCore and Optimal allocators ([`hydra_core`]),
 //! * [`sim`] — the discrete-event simulator with attack injection
@@ -48,11 +47,6 @@ pub mod rt {
 /// [`rt_partition`]).
 pub mod partition {
     pub use rt_partition::*;
-}
-
-/// Geometric-programming solver substrate (re-export of [`gp_solver`]).
-pub mod gp {
-    pub use gp_solver::*;
 }
 
 /// The HYDRA security-task allocation library (re-export of [`hydra_core`]).

@@ -10,13 +10,20 @@
 //!   concatenate to the **byte-identical** single-process stream at any
 //!   thread count.
 
-// The buffered `aggregate` shim is deprecated but stays the reference these
-// properties compare the streaming accumulators against until its removal.
-#![allow(deprecated)]
-
 use hydra_repro::dse::sink::summary_to_csv;
-use hydra_repro::dse::{prelude::*, TeeSink};
+use hydra_repro::dse::{prelude::*, AggregateRow, TeeSink};
 use proptest::prelude::*;
+
+/// Folds buffered outcomes through one [`SweepAccumulator`] in grid order:
+/// the one-pass reference the streaming per-worker partials are compared
+/// against.
+fn accumulate(outcomes: &[ScenarioOutcome]) -> Vec<AggregateRow> {
+    let mut acc = SweepAccumulator::new();
+    for outcome in outcomes {
+        acc.record(outcome);
+    }
+    acc.rows()
+}
 
 /// A small randomly-parameterised sweep spec: the property tests quantify
 /// over cores, trials, utilization grids, seeds and allocator subsets.
@@ -89,8 +96,8 @@ proptest! {
             to_jsonl(&serial.outcomes),
             to_jsonl(&parallel.outcomes)
         );
-        let serial_agg = aggregate(&serial.outcomes);
-        let parallel_agg = aggregate(&parallel.outcomes);
+        let serial_agg = accumulate(&serial.outcomes);
+        let parallel_agg = accumulate(&parallel.outcomes);
         prop_assert_eq!(&serial_agg, &parallel_agg);
         prop_assert_eq!(summary_to_csv(&serial_agg), summary_to_csv(&parallel_agg));
     }
@@ -241,8 +248,8 @@ fn three_policy_paired_sweeps_are_byte_identical_across_thread_counts() {
         assert_eq!(to_jsonl(&serial.outcomes), to_jsonl(&parallel.outcomes));
         assert_eq!(to_csv(&serial.outcomes), to_csv(&parallel.outcomes));
         assert_eq!(
-            summary_to_csv(&aggregate(&serial.outcomes)),
-            summary_to_csv(&aggregate(&parallel.outcomes))
+            summary_to_csv(&accumulate(&serial.outcomes)),
+            summary_to_csv(&accumulate(&parallel.outcomes))
         );
     }
     // Pairing: the three policy variants of each (point, allocator) report
@@ -285,7 +292,7 @@ fn batched_and_scalar_kernels_stream_identical_bytes() {
         .run(&spec);
     let scalar_jsonl = to_jsonl(&scalar.outcomes);
     let scalar_csv = to_csv(&scalar.outcomes);
-    let scalar_summary = summary_to_csv(&aggregate(&scalar.outcomes));
+    let scalar_summary = summary_to_csv(&accumulate(&scalar.outcomes));
 
     for threads in [1usize, 2, 4] {
         for mode in [BatchMode::Batch, BatchMode::Scalar] {
@@ -304,7 +311,7 @@ fn batched_and_scalar_kernels_stream_identical_bytes() {
                 "CSV differs with {label}"
             );
             assert_eq!(
-                summary_to_csv(&aggregate(&run.outcomes)),
+                summary_to_csv(&accumulate(&run.outcomes)),
                 scalar_summary,
                 "summary differs with {label}"
             );
@@ -339,10 +346,10 @@ fn streaming_partial_aggregates_match_the_buffered_summary() {
     let summary = Executor::with_threads(4)
         .run_streaming(&spec, &mut NullSink)
         .unwrap();
-    assert_eq!(summary.partial.rows(), aggregate(&buffered.outcomes));
+    assert_eq!(summary.partial.rows(), accumulate(&buffered.outcomes));
     assert_eq!(
         summary_to_csv(&summary.partial.rows()),
-        summary_to_csv(&aggregate(&buffered.outcomes))
+        summary_to_csv(&accumulate(&buffered.outcomes))
     );
 }
 
@@ -367,7 +374,7 @@ fn observability_never_changes_an_output_byte() {
     let baseline = Executor::serial().run(&spec);
     let base_jsonl = to_jsonl(&baseline.outcomes);
     let base_csv = to_csv(&baseline.outcomes);
-    let base_summary = summary_to_csv(&aggregate(&baseline.outcomes));
+    let base_summary = summary_to_csv(&accumulate(&baseline.outcomes));
 
     for threads in [1usize, 2, 4] {
         for (metrics, tracing) in [(true, false), (false, true), (true, true)] {

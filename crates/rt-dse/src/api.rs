@@ -180,7 +180,8 @@ impl SweepSession {
     }
 
     /// Worker-thread count (`0` = machine parallelism, the default; `1` =
-    /// the serial reference path). Outputs are byte-identical regardless.
+    /// run on the calling thread only). Outputs and memo counters are
+    /// identical regardless.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;

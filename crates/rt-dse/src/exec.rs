@@ -1,19 +1,27 @@
-//! Scenario evaluation and the parallel streaming sweep executor.
+//! Scenario evaluation and the streaming sweep executor.
 //!
-//! The executor runs the expanded grid on a pool of scoped worker threads
-//! pulling scenario indices from a shared atomic cursor (self-balancing: a
-//! worker that lands on a cheap scenario immediately steals the next index,
-//! so stragglers never idle the pool). Every scenario derives its inputs
-//! from its own `(base_seed, stream)` address, which makes results
-//! independent of thread count, scheduling order and the memoization layer —
-//! the property the determinism tests pin down.
+//! The executor's work item is a **problem group**: the maximal run of
+//! consecutive scenarios that share a problem address (cores, utilization,
+//! problem stream). Workers claim whole groups from a shared atomic cursor
+//! and evaluate each in list order (self-balancing: a worker that finishes
+//! a cheap group immediately claims the next, so stragglers never idle the
+//! pool). On an exhaustive grid a group holds every allocator × policy
+//! variant of one task set, so no two workers ever look up the same memo
+//! key: a worker's own earlier lookups are its hits. Every scenario derives
+//! its inputs from its own `(base_seed, stream)` address, which makes
+//! results independent of thread count, scheduling order and the
+//! memoization layer — the property the determinism tests pin down. The
+//! memo's single-flight cells make its work counters thread-independent
+//! too, including on lists whose groups hold one scenario each.
 //!
-//! Results **stream**: a reorder buffer restores grid order and feeds each
+//! Results **stream**: a reorder buffer restores list order and feeds each
 //! outcome to an [`OutcomeSink`] the moment its turn comes, while each worker
 //! folds its own outcomes into a partial [`SweepAccumulator`] merged at the
 //! end. Peak memory is therefore O(threads + reorder window) outcomes plus
 //! the aggregate state — not O(grid) — and a backpressure gate keeps a
 //! worker from racing more than one window ahead of the slowest scenario.
+//! There is one execution path: the calling thread is worker 0 and only
+//! `threads − 1` helpers are spawned, so a 1-thread run spawns nothing.
 //! [`Executor::run`] is the buffered compatibility wrapper (a [`VecSink`]).
 //!
 //! Because a scenario's address fully determines its result, any contiguous
@@ -211,6 +219,66 @@ struct Drain<'s> {
     sink: &'s mut dyn OutcomeSink,
     /// First sink error; set once, aborts the sweep.
     error: Option<std::io::Error>,
+    /// Workers asleep at the backpressure gate; the turnstile is signalled
+    /// only when someone waits on it.
+    waiting: usize,
+}
+
+impl Drain<'_> {
+    /// Takes the outcome of list index `i`. On its turn it goes straight to
+    /// the sink, followed by every parked successor now due; otherwise it
+    /// parks in the reorder buffer. Returns whether the sink advanced.
+    fn complete(&mut self, i: usize, outcome: ScenarioOutcome, wobs: &WorkerObs) -> bool {
+        if self.error.is_some() {
+            return false;
+        }
+        if i != self.next {
+            self.pending.insert(i, outcome);
+            return false;
+        }
+        self.emit(&outcome, wobs);
+        while self.error.is_none() {
+            let Some(ready) = self.pending.remove(&self.next) else {
+                break;
+            };
+            self.emit(&ready, wobs);
+        }
+        true
+    }
+
+    /// Records one outcome whose turn has come.
+    fn emit(&mut self, outcome: &ScenarioOutcome, wobs: &WorkerObs) {
+        let span = wobs.tracer.span(PHASE_SINK);
+        let recorded = self.sink.record(outcome);
+        drop(span);
+        match recorded {
+            Ok(()) => self.next += 1,
+            Err(error) => self.error = Some(error),
+        }
+    }
+}
+
+/// Splits a scenario list into **problem groups**: the maximal runs of
+/// consecutive scenarios that share a problem address (cores, utilization,
+/// problem stream) and with it the problem, its Eq. (1) verdict and one
+/// allocation per scheme. Exhaustive grids keep the allocator and policy
+/// axes innermost, so each group holds every variant of one task set;
+/// frontier lists put the trial axis innermost, so theirs hold one scenario
+/// each.
+fn problem_groups(scenarios: &[Scenario]) -> Vec<Range<usize>> {
+    let same_problem = |a: &Scenario, b: &Scenario| {
+        a.cores == b.cores
+            && a.problem_stream == b.problem_stream
+            && a.utilization.map(f64::to_bits) == b.utilization.map(f64::to_bits)
+    };
+    let mut groups: Vec<Range<usize>> = Vec::new();
+    for (i, scenario) in scenarios.iter().enumerate() {
+        match groups.last_mut() {
+            Some(group) if same_problem(&scenarios[group.start], scenario) => group.end = i + 1,
+            _ => groups.push(i..i + 1),
+        }
+    }
+    groups
 }
 
 impl Executor {
@@ -381,7 +449,8 @@ impl Executor {
         let end = range.end.min(grid_len);
         let range = range.start.min(end)..end;
         let slice = &scenarios[range.clone()];
-        let threads = self.resolve_threads(slice.len());
+        let groups = problem_groups(slice);
+        let threads = self.resolve_threads(groups.len());
         // The memo's hit/miss counters mirror onto the engine track of the
         // registry (inert when observability is off). A shared cache (the
         // frontier driver's) is borrowed as-is; otherwise the run builds a
@@ -407,35 +476,7 @@ impl Executor {
         #[allow(clippy::disallowed_methods)]
         let started = Instant::now();
 
-        let partial = if threads <= 1 {
-            let wobs = self.obs.worker(0);
-            let mut acc = SweepAccumulator::new();
-            let mut scratch = EvalScratch::new();
-            for (i, scenario) in slice.iter().enumerate() {
-                if self.handle.as_ref().is_some_and(SweepHandle::is_cancelled) {
-                    break;
-                }
-                // lint-ok(D002): metrics-gated timing feeds the rt-obs
-                // histogram only; obs-on/off byte-identity is pinned in CI.
-                #[allow(clippy::disallowed_methods)]
-                let timed = wobs.metrics_enabled().then(Instant::now);
-                let outcome = evaluate(spec, scenario, memo, &mut scratch, &wobs, self.batch);
-                wobs.record_scenario(timed.map(|t| t.elapsed()));
-                acc.record(&outcome);
-                let span = wobs.tracer.span(PHASE_SINK);
-                let recorded = sink.record(&outcome);
-                drop(span);
-                recorded?;
-                if let Some(handle) = &self.handle {
-                    handle.set_done(i + 1);
-                }
-            }
-            sink.finish()?;
-            wobs.add_sim_stats(scratch.sim.stats());
-            acc
-        } else {
-            self.stream_parallel(spec, slice, threads, memo, sink)?
-        };
+        let partial = self.stream_parallel(spec, slice, &groups, threads, memo, sink)?;
 
         // A cancelled run delivered a prefix of the range: shrink it so
         // `evaluated()` keeps meaning "outcomes the sink saw". (The partial
@@ -462,13 +503,20 @@ impl Executor {
         })
     }
 
-    /// The parallel path: workers race an atomic cursor, a reorder buffer
-    /// drains completions to the sink in grid order, and a backpressure gate
-    /// caps how far any worker may run ahead of the drain.
+    /// The one execution path. Workers claim whole problem `groups` from an
+    /// atomic cursor and evaluate each group in list order, so all variants
+    /// of one task set run on one worker and no two workers compute the
+    /// same memo entry. Each outcome goes to a reorder buffer the moment it
+    /// is done, which drains to the sink in list order, and a backpressure
+    /// gate caps how far any worker may run ahead of the drain.
+    /// Cancellation is checked before every scenario. The calling thread is
+    /// worker 0 and only `threads − 1` helpers are spawned: a 1-thread run
+    /// spawns nothing and records each outcome straight into the sink.
     fn stream_parallel(
         &self,
         spec: &ScenarioSpec,
         slice: &[Scenario],
+        groups: &[Range<usize>],
         threads: usize,
         memo: &MemoCache,
         sink: &mut dyn OutcomeSink,
@@ -483,9 +531,9 @@ impl Executor {
             pending: BTreeMap::new(),
             sink,
             error: None,
+            waiting: 0,
         });
         let turnstile = Condvar::new();
-        let master: Mutex<SweepAccumulator> = Mutex::new(SweepAccumulator::new());
         // The reorder-buffer depth is a property of the shared drain, not of
         // any worker, so every worker writes the same engine-track gauge
         // (always under the drain lock — no torn updates).
@@ -494,111 +542,106 @@ impl Executor {
             .registry()
             .shard(ENGINE_TRACK)
             .gauge("drain.reorder_depth");
+        let handle = self.handle.as_ref();
+        let cancelled = || handle.is_some_and(SweepHandle::is_cancelled);
 
-        std::thread::scope(|scope| {
-            let cursor = &cursor;
-            let drain = &drain;
-            let turnstile = &turnstile;
-            let master = &master;
-            let handle = self.handle.as_ref();
-            for worker_index in 0..threads {
-                let wobs = self.obs.worker(worker_index);
-                let reorder_depth = reorder_depth.clone();
-                scope.spawn(move || {
-                    let mut local = SweepAccumulator::new();
-                    let mut scratch = EvalScratch::new();
-                    loop {
-                        if handle.is_some_and(|h| h.is_cancelled()) {
-                            break;
-                        }
-                        // relaxed-ok: the fetch_add's RMW atomicity alone
-                        // guarantees unique indices; no data rides on this
-                        // atomic — outcome handoff synchronizes through the
-                        // `drain` mutex below, scenario inputs are immutable.
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= slice.len() {
-                            break;
-                        }
-                        // Backpressure: wait until the drain is within one
-                        // window of this index. The worker holding the
-                        // drain's next index never waits, so progress is
-                        // guaranteed. With a cancellable handle the wait is
-                        // periodically re-armed so a cancel delivered while
-                        // every worker sleeps still terminates the pool.
-                        {
-                            let mut state = drain.lock().expect("drain poisoned");
-                            if state.error.is_none() && i >= state.next + window {
-                                // lint-ok(D002): metrics-gated backpressure
-                                // timing, rt-obs counters only.
-                                #[allow(clippy::disallowed_methods)]
-                                let waited = wobs.metrics_enabled().then(Instant::now);
-                                while state.error.is_none() && i >= state.next + window {
-                                    if let Some(h) = handle {
-                                        if h.is_cancelled() {
-                                            break;
-                                        }
-                                        state = turnstile
-                                            .wait_timeout(state, Duration::from_millis(25))
-                                            .expect("drain poisoned")
-                                            .0;
-                                    } else {
-                                        state = turnstile.wait(state).expect("drain poisoned");
-                                    }
-                                }
-                                if let Some(t0) = waited {
-                                    wobs.backpressure_waits.inc();
-                                    wobs.backpressure_wait_ns.add(
-                                        u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                                    );
-                                }
-                            }
-                            if state.error.is_some() || handle.is_some_and(|h| h.is_cancelled()) {
-                                break;
-                            }
-                        }
-                        // lint-ok(D002): metrics-gated timing feeds the
-                        // rt-obs histogram only; obs-on/off byte-identity is
-                        // pinned in CI.
-                        #[allow(clippy::disallowed_methods)]
-                        let timed = wobs.metrics_enabled().then(Instant::now);
-                        let outcome =
-                            evaluate(spec, &slice[i], memo, &mut scratch, &wobs, self.batch);
-                        wobs.record_scenario(timed.map(|t| t.elapsed()));
-                        local.record(&outcome);
+        let work = |worker_index: usize| -> SweepAccumulator {
+            let wobs = self.obs.worker(worker_index);
+            let mut local = SweepAccumulator::new();
+            let mut scratch = EvalScratch::new();
+            // The drain position this worker last saw. It only grows, so an
+            // index inside the window of this lower bound needs no lock to
+            // pass the backpressure gate.
+            let mut seen_next = 0;
+            // relaxed-ok: the fetch_add's RMW atomicity alone guarantees
+            // unique groups; no data rides on this atomic — outcome handoff
+            // synchronizes through the `drain` mutex below, scenario inputs
+            // are immutable.
+            'claim: while let Some(group) = groups.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                for i in group.clone() {
+                    if cancelled() {
+                        break 'claim;
+                    }
+                    // Backpressure: wait until the drain is within one window
+                    // of this index. The worker holding the drain's next
+                    // index never waits, so progress is guaranteed. With a
+                    // cancellable handle the wait is periodically re-armed so
+                    // a cancel delivered while every worker sleeps still
+                    // terminates the pool.
+                    if i >= seen_next + window {
                         let mut state = drain.lock().expect("drain poisoned");
-                        state.pending.insert(i, outcome);
-                        let mut advanced = false;
-                        loop {
-                            let turn = state.next;
-                            let Some(ready) = state.pending.remove(&turn) else {
-                                break;
-                            };
-                            let span = wobs.tracer.span(PHASE_SINK);
-                            let recorded = state.sink.record(&ready);
-                            drop(span);
-                            if let Err(error) = recorded {
-                                state.error = Some(error);
-                                break;
+                        if state.error.is_none() && i >= state.next + window {
+                            // lint-ok(D002): metrics-gated backpressure
+                            // timing, rt-obs counters only.
+                            #[allow(clippy::disallowed_methods)]
+                            let waited = wobs.metrics_enabled().then(Instant::now);
+                            state.waiting += 1;
+                            while state.error.is_none() && i >= state.next + window && !cancelled()
+                            {
+                                state = if handle.is_some() {
+                                    turnstile
+                                        .wait_timeout(state, Duration::from_millis(25))
+                                        .expect("drain poisoned")
+                                        .0
+                                } else {
+                                    turnstile.wait(state).expect("drain poisoned")
+                                };
                             }
-                            state.next += 1;
-                            advanced = true;
+                            state.waiting -= 1;
+                            if let Some(t0) = waited {
+                                wobs.backpressure_waits.inc();
+                                wobs.backpressure_wait_ns.add(
+                                    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
+                                );
+                            }
                         }
-                        if let Some(h) = handle {
-                            h.set_done(state.next);
-                        }
-                        reorder_depth.set(state.pending.len() as i64);
-                        if advanced || state.error.is_some() {
-                            drop(state);
-                            turnstile.notify_all();
+                        if state.error.is_some() || cancelled() {
+                            break 'claim;
                         }
                     }
-                    wobs.add_sim_stats(scratch.sim.stats());
-                    master
-                        .lock()
-                        .expect("partial-aggregate collector poisoned")
-                        .merge(local);
-                });
+                    // lint-ok(D002): metrics-gated timing feeds the rt-obs
+                    // histogram only; obs-on/off byte-identity is pinned in
+                    // CI.
+                    #[allow(clippy::disallowed_methods)]
+                    let timed = wobs.metrics_enabled().then(Instant::now);
+                    let outcome = evaluate(spec, &slice[i], memo, &mut scratch, &wobs, self.batch);
+                    wobs.record_scenario(timed.map(|t| t.elapsed()));
+                    local.record(&outcome);
+                    let mut state = drain.lock().expect("drain poisoned");
+                    let advanced = state.complete(i, outcome, &wobs);
+                    seen_next = state.next;
+                    if let Some(h) = handle {
+                        h.set_done(state.next);
+                    }
+                    reorder_depth.set(state.pending.len() as i64);
+                    let failed = state.error.is_some();
+                    let wake = (advanced || failed) && state.waiting > 0;
+                    drop(state);
+                    if wake {
+                        turnstile.notify_all();
+                    }
+                    if failed {
+                        break 'claim;
+                    }
+                }
             }
+            wobs.add_sim_stats(scratch.sim.stats());
+            local
+        };
+
+        let partial = std::thread::scope(|scope| {
+            let work = &work;
+            let helpers: Vec<_> = (1..threads)
+                .map(|worker_index| scope.spawn(move || work(worker_index)))
+                .collect();
+            let mut partial = work(0);
+            for helper in helpers {
+                match helper.join() {
+                    Ok(local) => partial.merge(local),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            }
+            partial
         });
 
         let state = drain.into_inner().expect("drain poisoned");
@@ -607,14 +650,12 @@ impl Executor {
         }
         // A cancelled run legitimately leaves completed-but-undrained
         // outcomes behind; only a clean finish must have drained everything.
-        if !self.handle.as_ref().is_some_and(SweepHandle::is_cancelled) {
+        if !cancelled() {
             debug_assert_eq!(state.next, slice.len());
             debug_assert!(state.pending.is_empty());
         }
         state.sink.finish()?;
-        Ok(master
-            .into_inner()
-            .expect("partial-aggregate collector poisoned"))
+        Ok(partial)
     }
 }
 
@@ -962,6 +1003,33 @@ mod tests {
         let parallel = Executor::with_threads(4).run(&spec);
         assert_eq!(serial.outcomes, parallel.outcomes);
         assert_eq!(serial.outcomes.len(), 12);
+    }
+
+    #[test]
+    fn problem_groups_hold_every_variant_of_one_task_set() {
+        use crate::spec::PeriodPolicy;
+        let mut spec = tiny_spec();
+        spec.period_policies = vec![PeriodPolicy::Fixed, PeriodPolicy::Joint];
+        let grid = ScenarioGrid::expand(&spec).into_scenarios();
+        let groups = problem_groups(&grid);
+        // 2 utilizations × 3 trials, each with 2 allocators × 2 policies.
+        assert_eq!(groups.len(), 6);
+        let mut covered = 0;
+        for group in &groups {
+            assert_eq!(group.start, covered);
+            assert_eq!(group.len(), 4);
+            covered = group.end;
+            let stream = grid[group.start].problem_stream;
+            assert!(grid[group.clone()]
+                .iter()
+                .all(|s| s.problem_stream == stream));
+        }
+        assert_eq!(covered, grid.len());
+        // A list with the trial axis innermost splits into singletons.
+        let mut trial_major = grid.clone();
+        trial_major.sort_by_key(|s| (s.allocator, s.policy, s.problem_stream));
+        assert!(problem_groups(&trial_major).iter().all(|g| g.len() == 1));
+        assert!(problem_groups(&[]).is_empty());
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //! * [`ScenarioGrid`](grid::ScenarioGrid) — cartesian or sampled expansion
 //!   into concrete [`Scenario`](scenario::Scenario) points with
 //!   deterministic per-point seed addresses,
-//! * [`Executor`](exec::Executor) — a self-balancing worker pool (scoped
-//!   threads pulling from a shared cursor) whose results are independent of
+//! * [`Executor`](exec::Executor) — a self-balancing worker pool (the
+//!   calling thread plus scoped helpers, each claiming whole problem groups
+//!   — every allocator × policy variant of one task set — from a shared
+//!   cursor) whose results and memo work counters are independent of
 //!   thread count and evaluation order; the streaming entry points feed an
 //!   [`OutcomeSink`](sink::OutcomeSink) in grid order through a reorder
 //!   buffer, so memory stays O(threads + reorder window) instead of O(grid),

@@ -14,8 +14,13 @@
 //!   allocator run instead of repeating the search per policy.
 //!
 //! The cache is sharded to keep lock contention negligible under the
-//! work-stealing executor; every entry is immutable once inserted (`Arc`ed
-//! problems), so readers never block writers of *other* keys for long.
+//! executor's worker pool. Every key owns a single-flight cell: its first
+//! caller runs the computation — and the [`MemoStore`] read before it —
+//! with no shard lock held, and concurrent callers of the same key wait for
+//! that result instead of computing it again. Each key is therefore
+//! computed once per cache, and the hit/miss counters are exact and
+//! independent of thread count: misses count the distinct keys looked up,
+//! hits every other lookup.
 //!
 //! # The retired partition family
 //!
@@ -47,8 +52,9 @@
 #![allow(clippy::disallowed_types)]
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use hydra_core::{Allocation, AllocationError, AllocationProblem};
 use rt_core::TaskSet;
@@ -107,18 +113,36 @@ pub fn hash_taskset(set: &TaskSet) -> u64 {
     h
 }
 
-/// Bumps one hit/miss statistics counter.
-fn bump(counter: &AtomicU64) {
-    // relaxed-ok: pure monotonic statistics — no cross-thread data handoff
-    // is guarded by these counters, and `stats()` snapshots them only after
-    // the sweep's worker threads have joined.
-    counter.fetch_add(1, Ordering::Relaxed);
+/// One exact statistics counter plus its live registry mirror, so the
+/// heartbeat can read memo traffic mid-sweep instead of waiting for the
+/// end-of-run [`MemoStats`]. The mirror is inert unless the cache was built
+/// with [`MemoCache::with_observability`].
+#[derive(Debug, Default)]
+struct Tally {
+    count: AtomicU64,
+    mirror: rt_obs::Counter,
 }
 
-/// Reads one hit/miss statistics counter.
-fn read(counter: &AtomicU64) -> u64 {
-    // relaxed-ok: statistics snapshot; same verdict as `bump`.
-    counter.load(Ordering::Relaxed)
+impl Tally {
+    fn mirrored(mirror: rt_obs::Counter) -> Self {
+        Tally {
+            count: AtomicU64::new(0),
+            mirror,
+        }
+    }
+
+    fn bump(&self) {
+        // relaxed-ok: pure monotonic statistics — no cross-thread data handoff
+        // is guarded by these counters, and `stats()` snapshots them only after
+        // the sweep's worker threads have joined.
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.mirror.inc();
+    }
+
+    fn read(&self) -> u64 {
+        // relaxed-ok: statistics snapshot; same verdict as `bump`.
+        self.count.load(Ordering::Relaxed)
+    }
 }
 
 /// Hit/miss counters of a finished sweep.
@@ -162,29 +186,71 @@ pub struct MemoStats {
 /// not once per period policy).
 pub type SharedAllocation = Arc<Result<Allocation, AllocationError>>;
 
-/// Mirror counters on the metrics registry, so the live heartbeat can read
-/// memo traffic mid-sweep instead of waiting for the end-of-run
-/// [`MemoStats`]. Inert (no-op handles) unless the cache was built with
-/// [`MemoCache::with_observability`].
-#[derive(Debug, Default)]
-struct MemoObsCounters {
-    problem_hits: rt_obs::Counter,
-    problem_misses: rt_obs::Counter,
-    feasibility_hits: rt_obs::Counter,
-    feasibility_misses: rt_obs::Counter,
-    allocation_hits: rt_obs::Counter,
-    allocation_misses: rt_obs::Counter,
-    store_hits: rt_obs::Counter,
-    store_misses: rt_obs::Counter,
-    store_write_errors: rt_obs::Counter,
+/// One memo family: a sharded map from key to single-flight cell, plus the
+/// family's hit/miss counters.
+#[derive(Debug)]
+struct Family<K, V> {
+    shards: Vec<Mutex<HashMap<K, Arc<OnceLock<V>>>>>,
+    hits: Tally,
+    misses: Tally,
+}
+
+impl<K, V> Family<K, V> {
+    fn mirrored(hits: rt_obs::Counter, misses: rt_obs::Counter) -> Self {
+        Family {
+            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            hits: Tally::mirrored(hits),
+            misses: Tally::mirrored(misses),
+        }
+    }
+}
+
+impl<K, V> Default for Family<K, V> {
+    fn default() -> Self {
+        Family::mirrored(rt_obs::Counter::default(), rt_obs::Counter::default())
+    }
+}
+
+impl<K: Eq + Hash, V: Clone> Family<K, V> {
+    /// Returns the value of `key`, running `compute` only when no earlier or
+    /// concurrent caller of the key has; `spread` picks the shard. The
+    /// caller whose `compute` ran books the miss. Every other caller books a
+    /// hit, including one that waited for an in-flight computation.
+    fn get_or_compute(&self, spread: u64, key: K, compute: impl FnOnce() -> V) -> V {
+        // High bits: the low bits of sequential streams are too regular.
+        let shard = &self.shards[(spread >> 58) as usize % SHARDS];
+        let cell = Arc::clone(
+            shard
+                .lock()
+                .expect("memo shard poisoned")
+                .entry(key)
+                .or_default(),
+        );
+        let mut computed = false;
+        let value = cell
+            .get_or_init(|| {
+                computed = true;
+                compute()
+            })
+            .clone();
+        if computed {
+            self.misses.bump();
+        } else {
+            self.hits.bump();
+        }
+        value
+    }
 }
 
 /// The shared memoization cache of one sweep execution.
 ///
-/// Every access is counted: a lookup that finds the key books a hit, one
-/// that does not books a miss and reads the store or computes the value.
-/// Nothing is cached ahead of its first access, so the counters depend only
-/// on the sequence of accesses, never on the kernel mode.
+/// Every access is counted. Each key is computed at most once, by its first
+/// caller, which books the miss and reads the store or computes the value;
+/// every other lookup of the key books a hit, including one that arrived
+/// while the computation was still running and waited for it. Nothing is
+/// cached ahead of its first access, so the counters depend only on the
+/// multiset of keys looked up — never on the thread count, the scheduling
+/// order or the kernel mode.
 ///
 /// # Persistent backing
 ///
@@ -198,41 +264,19 @@ struct MemoObsCounters {
 #[derive(Debug, Default)]
 pub struct MemoCache {
     store: Option<Arc<MemoStore>>,
-    problems: Vec<Mutex<HashMap<ProblemKey, Arc<AllocationProblem>>>>,
-    feasibility: Vec<Mutex<HashMap<(u64, usize), bool>>>,
-    allocations: Vec<Mutex<HashMap<AllocationKey, SharedAllocation>>>,
-    problem_hits: AtomicU64,
-    problem_misses: AtomicU64,
-    feasibility_hits: AtomicU64,
-    feasibility_misses: AtomicU64,
-    allocation_hits: AtomicU64,
-    allocation_misses: AtomicU64,
-    store_hits: AtomicU64,
-    store_misses: AtomicU64,
-    store_write_errors: AtomicU64,
-    obs: MemoObsCounters,
+    problems: Family<ProblemKey, Arc<AllocationProblem>>,
+    feasibility: Family<(u64, usize), bool>,
+    allocations: Family<AllocationKey, SharedAllocation>,
+    store_hits: Tally,
+    store_misses: Tally,
+    store_write_errors: Tally,
 }
 
 impl MemoCache {
     /// Creates an empty cache.
     #[must_use]
     pub fn new() -> Self {
-        MemoCache {
-            store: None,
-            problems: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            feasibility: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            allocations: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            problem_hits: AtomicU64::new(0),
-            problem_misses: AtomicU64::new(0),
-            feasibility_hits: AtomicU64::new(0),
-            feasibility_misses: AtomicU64::new(0),
-            allocation_hits: AtomicU64::new(0),
-            allocation_misses: AtomicU64::new(0),
-            store_hits: AtomicU64::new(0),
-            store_misses: AtomicU64::new(0),
-            store_write_errors: AtomicU64::new(0),
-            obs: MemoObsCounters::default(),
-        }
+        MemoCache::default()
     }
 
     /// Creates an empty cache whose hit/miss counters are mirrored onto the
@@ -241,18 +285,22 @@ impl MemoCache {
     #[must_use]
     pub fn with_observability(shard: &rt_obs::ShardHandle) -> Self {
         MemoCache {
-            obs: MemoObsCounters {
-                problem_hits: shard.counter("memo.problem_hits"),
-                problem_misses: shard.counter("memo.problem_misses"),
-                feasibility_hits: shard.counter("memo.feasibility_hits"),
-                feasibility_misses: shard.counter("memo.feasibility_misses"),
-                allocation_hits: shard.counter("memo.allocation_hits"),
-                allocation_misses: shard.counter("memo.allocation_misses"),
-                store_hits: shard.counter("memo.store_hits"),
-                store_misses: shard.counter("memo.store_misses"),
-                store_write_errors: shard.counter("memo.store_write_errors"),
-            },
-            ..MemoCache::new()
+            store: None,
+            problems: Family::mirrored(
+                shard.counter("memo.problem_hits"),
+                shard.counter("memo.problem_misses"),
+            ),
+            feasibility: Family::mirrored(
+                shard.counter("memo.feasibility_hits"),
+                shard.counter("memo.feasibility_misses"),
+            ),
+            allocations: Family::mirrored(
+                shard.counter("memo.allocation_hits"),
+                shard.counter("memo.allocation_misses"),
+            ),
+            store_hits: Tally::mirrored(shard.counter("memo.store_hits")),
+            store_misses: Tally::mirrored(shard.counter("memo.store_misses")),
+            store_write_errors: Tally::mirrored(shard.counter("memo.store_write_errors")),
         }
     }
 
@@ -267,64 +315,50 @@ impl MemoCache {
         self
     }
 
-    /// Books one persistent-store hit.
-    fn book_store_hit(&self) {
-        bump(&self.store_hits);
-        self.obs.store_hits.inc();
-    }
-
-    /// Books one persistent-store miss.
-    fn book_store_miss(&self) {
-        bump(&self.store_misses);
-        self.obs.store_misses.inc();
-    }
-
-    /// Books a persistent-store write outcome (failures count, successes
-    /// are free).
-    fn book_store_write(&self, result: std::io::Result<()>) {
-        if result.is_err() {
-            bump(&self.store_write_errors);
-            self.obs.store_write_errors.inc();
+    /// Answers one family miss: from the persistent store when one is
+    /// attached and holds the key, else by running `compute` (and writing
+    /// the value back to the store). Runs inside the key's single-flight
+    /// cell, so every family miss makes exactly one store lookup.
+    fn load_or_compute<V>(
+        &self,
+        get: impl FnOnce(&MemoStore) -> Option<V>,
+        compute: impl FnOnce() -> V,
+        put: impl FnOnce(&MemoStore, &V) -> std::io::Result<()>,
+    ) -> V {
+        let Some(store) = self.store.as_deref() else {
+            return compute();
+        };
+        if let Some(found) = get(store) {
+            self.store_hits.bump();
+            return found;
         }
-    }
-
-    fn shard_of(hash: u64) -> usize {
-        // High bits: the low bits of sequential streams are too regular.
-        (hash >> 58) as usize % SHARDS
+        self.store_misses.bump();
+        let value = compute();
+        // Write failures are tolerated: whoever needs the entry next
+        // recomputes it.
+        if put(store, &value).is_err() {
+            self.store_write_errors.bump();
+        }
+        value
     }
 
     /// Returns the problem for `key`, generating it with `generate` on a
-    /// miss. Concurrent callers of the same key may both generate (the
-    /// generator is deterministic, so both produce the identical problem and
-    /// either insert wins); the lock is *not* held during generation.
+    /// miss. Concurrent callers of one key share a single generation (and
+    /// store read); the shard lock is *not* held while it runs.
     pub fn problem(
         &self,
         key: ProblemKey,
         generate: impl FnOnce() -> AllocationProblem,
     ) -> Arc<AllocationProblem> {
         let hash = key.stream ^ key.base_seed.rotate_left(32) ^ (key.cores as u64).rotate_left(48);
-        let shard = &self.problems[Self::shard_of(hash.wrapping_mul(0x9E37_79B9_7F4A_7C15))];
-        if let Some(found) = shard.lock().expect("memo shard poisoned").get(&key) {
-            bump(&self.problem_hits);
-            self.obs.problem_hits.inc();
-            return Arc::clone(found);
-        }
-        bump(&self.problem_misses);
-        self.obs.problem_misses.inc();
-        if let Some(found) = self.store.as_deref().and_then(|s| s.get_problem(&key)) {
-            self.book_store_hit();
-            let mut guard = shard.lock().expect("memo shard poisoned");
-            return Arc::clone(guard.entry(key).or_insert(Arc::new(found)));
-        }
-        if self.store.is_some() {
-            self.book_store_miss();
-        }
-        let generated = Arc::new(generate());
-        if let Some(store) = self.store.as_deref() {
-            self.book_store_write(store.put_problem(&key, &generated));
-        }
-        let mut guard = shard.lock().expect("memo shard poisoned");
-        Arc::clone(guard.entry(key).or_insert(generated))
+        self.problems
+            .get_or_compute(hash.wrapping_mul(0x9E37_79B9_7F4A_7C15), key, || {
+                self.load_or_compute(
+                    |store| store.get_problem(&key).map(Arc::new),
+                    || Arc::new(generate()),
+                    |store, problem| store.put_problem(&key, problem),
+                )
+            })
     }
 
     /// Returns the cached Eq. (1) verdict for `(taskset_hash, cores)`,
@@ -335,96 +369,54 @@ impl MemoCache {
         cores: usize,
         check: impl FnOnce() -> bool,
     ) -> bool {
-        let shard = &self.feasibility
-            [Self::shard_of(taskset_hash.wrapping_add((cores as u64).rotate_left(40)))];
-        if let Some(&verdict) = shard
-            .lock()
-            .expect("memo shard poisoned")
-            .get(&(taskset_hash, cores))
-        {
-            bump(&self.feasibility_hits);
-            self.obs.feasibility_hits.inc();
-            return verdict;
-        }
-        bump(&self.feasibility_misses);
-        self.obs.feasibility_misses.inc();
-        if let Some(store) = self.store.as_deref() {
-            if let Some(verdict) = store.get_feasibility(taskset_hash, cores) {
-                self.book_store_hit();
-                shard
-                    .lock()
-                    .expect("memo shard poisoned")
-                    .entry((taskset_hash, cores))
-                    .or_insert(verdict);
-                return verdict;
-            }
-            self.book_store_miss();
-        }
-        let verdict = check();
-        if let Some(store) = self.store.as_deref() {
-            self.book_store_write(store.put_feasibility(taskset_hash, cores, verdict));
-        }
-        shard
-            .lock()
-            .expect("memo shard poisoned")
-            .entry((taskset_hash, cores))
-            .or_insert(verdict);
-        verdict
+        let spread = taskset_hash.wrapping_add((cores as u64).rotate_left(40));
+        self.feasibility
+            .get_or_compute(spread, (taskset_hash, cores), || {
+                self.load_or_compute(
+                    |store| store.get_feasibility(taskset_hash, cores),
+                    check,
+                    |store, &verdict| store.put_feasibility(taskset_hash, cores, verdict),
+                )
+            })
     }
 
     /// Returns the cached allocator run for `key`, computing it with
     /// `build` on a miss. The period-policy axis calls this once per
     /// scenario but the placement search runs once per `(problem, scheme)`
-    /// key; rejections cache too. Like the other families, the lock is not
-    /// held while `build` runs — racing builders of the same key may both
-    /// run the deterministic allocator and either result wins.
+    /// key; rejections cache too. Concurrent callers of one key share a
+    /// single allocator run; the shard lock is not held while `build` runs.
     pub fn allocation(
         &self,
         key: AllocationKey,
         build: impl FnOnce() -> Result<Allocation, AllocationError>,
     ) -> SharedAllocation {
-        let shard = &self.allocations[Self::shard_of(
-            key.problem
-                .stream
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add((key.allocator as u64).rotate_left(12)),
-        )];
-        if let Some(found) = shard.lock().expect("memo shard poisoned").get(&key) {
-            bump(&self.allocation_hits);
-            self.obs.allocation_hits.inc();
-            return Arc::clone(found);
-        }
-        bump(&self.allocation_misses);
-        self.obs.allocation_misses.inc();
-        if let Some(found) = self.store.as_deref().and_then(|s| s.get_allocation(&key)) {
-            self.book_store_hit();
-            let mut guard = shard.lock().expect("memo shard poisoned");
-            return Arc::clone(guard.entry(key).or_insert(Arc::new(found)));
-        }
-        if self.store.is_some() {
-            self.book_store_miss();
-        }
-        let built = Arc::new(build());
-        if let Some(store) = self.store.as_deref() {
-            self.book_store_write(store.put_allocation(&key, &built));
-        }
-        let mut guard = shard.lock().expect("memo shard poisoned");
-        Arc::clone(guard.entry(key).or_insert(built))
+        let spread = key
+            .problem
+            .stream
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add((key.allocator as u64).rotate_left(12));
+        self.allocations.get_or_compute(spread, key, || {
+            self.load_or_compute(
+                |store| store.get_allocation(&key).map(Arc::new),
+                || Arc::new(build()),
+                |store, built| store.put_allocation(&key, built),
+            )
+        })
     }
 
     /// Snapshot of the hit/miss counters.
     #[must_use]
     pub fn stats(&self) -> MemoStats {
         MemoStats {
-            problem_hits: read(&self.problem_hits),
-            problem_misses: read(&self.problem_misses),
-            feasibility_hits: read(&self.feasibility_hits),
-            feasibility_misses: read(&self.feasibility_misses),
-            allocation_hits: read(&self.allocation_hits),
-            allocation_misses: read(&self.allocation_misses),
-            store_hits: read(&self.store_hits),
-            store_misses: read(&self.store_misses),
-            store_write_errors: read(&self.store_write_errors),
+            problem_hits: self.problems.hits.read(),
+            problem_misses: self.problems.misses.read(),
+            feasibility_hits: self.feasibility.hits.read(),
+            feasibility_misses: self.feasibility.misses.read(),
+            allocation_hits: self.allocations.hits.read(),
+            allocation_misses: self.allocations.misses.read(),
+            store_hits: self.store_hits.read(),
+            store_misses: self.store_misses.read(),
+            store_write_errors: self.store_write_errors.read(),
         }
     }
 }

@@ -8,7 +8,8 @@
 //! * changing the seed changes the results (the guarantee is not vacuous),
 //! * sharded (`--shard i/n`-style range) runs and killed-then-resumed runs
 //!   concatenate to the **byte-identical** single-process stream at any
-//!   thread count.
+//!   thread count,
+//! * the memo's work counters are exact: identical at every thread count.
 
 use hydra_repro::dse::sink::summary_to_csv;
 use hydra_repro::dse::{prelude::*, AggregateRow, TeeSink};
@@ -263,6 +264,54 @@ fn three_policy_paired_sweeps_are_byte_identical_across_thread_counts() {
         assert_eq!(triple[0].n_rt, triple[2].n_rt);
         assert_eq!(triple[0].n_sec, triple[2].n_sec);
         assert_eq!(triple[0].total_utilization, triple[2].total_utilization);
+    }
+}
+
+#[test]
+fn memo_work_counts_are_independent_of_thread_count() {
+    // Every memo key is computed exactly once, whatever the worker count:
+    // exhaustive grids hand each worker whole problem groups, and frontier
+    // lists (whose slices share problems across the allocator and policy
+    // axes) meet the memo's single-flight cells.
+    let mut spec = ScenarioSpec::synthetic("memo-counts");
+    spec.cores = vec![2, 4];
+    spec.utilizations = UtilizationGrid::NormalizedSteps(6);
+    spec.allocators = vec![AllocatorKind::Hydra, AllocatorKind::SingleCore];
+    spec.period_policies = vec![
+        PeriodPolicy::Fixed,
+        PeriodPolicy::Adapt,
+        PeriodPolicy::Joint,
+    ];
+    spec.trials = 4;
+
+    let serial = Executor::serial().run(&spec);
+    let feasible_pairs: std::collections::BTreeSet<_> = serial
+        .outcomes
+        .iter()
+        .filter(|o| o.feasible)
+        .map(|o| (o.scenario.problem_stream, o.scenario.allocator))
+        .collect();
+    assert!(!feasible_pairs.is_empty());
+    assert_eq!(serial.memo.allocation_misses, feasible_pairs.len() as u64);
+    for threads in [2usize, 4] {
+        let parallel = Executor::with_threads(threads).run(&spec);
+        assert_eq!(
+            parallel.memo, serial.memo,
+            "exhaustive grid, {threads} threads"
+        );
+    }
+
+    spec.explore = ExploreMode::Frontier(FrontierConfig::default());
+    let explore = |threads: usize| {
+        FrontierRunner::new(SweepSession::new(spec.clone()).threads(threads))
+            .explore(&mut NullSink)
+            .expect("NullSink never fails")
+            .1
+            .memo
+    };
+    let frontier = explore(1);
+    for threads in [2usize, 4] {
+        assert_eq!(explore(threads), frontier, "frontier, {threads} threads");
     }
 }
 

@@ -1,5 +1,5 @@
 //! Criterion bench: the scalar response-time analysis vs the 8-lane
-//! structure-of-arrays batch kernel of `rt-core::batch`, on the
+//! batch kernel of `rt-core::batch` (unseeded rows), on the
 //! task-set shapes the sweep engine actually feeds them (synthetic
 //! workloads at the paper's utilization band, small per-core lists through
 //! full platform-sized sets).

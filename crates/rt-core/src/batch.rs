@@ -1,38 +1,53 @@
-//! Structure-of-arrays batch kernels for the hot analysis math.
+//! Batch kernels for the hot analysis math.
 //!
 //! The sweep engine evaluates thousands of closely related schedulability
 //! questions: the same fixed-point recurrence (response-time analysis) over
-//! per-core task lists that differ only in one candidate row. The scalar
-//! analysis in [`crate::rta`] walks those one task at a time; the kernel
-//! here restructures the same math into **lanes**: fixed-width
-//! arrays-of-[`LANES`] columns (`[u64; LANES]` per task row) advanced in
-//! lockstep, one iteration moving all lanes at once behind per-lane
-//! converged/unschedulable masks.
+//! per-core task lists that differ only in one candidate row. The partition
+//! heuristics ask one such question per core for every task they place.
+//! [`BatchRtaKernel`] takes up to [`LANES`] of them as one dispatch, one
+//! **lane** per core, and solves each lane's rows in turn. A row's
+//! recurrence sums the interference of the rows above it and nothing else,
+//! so a lane costs only what its own rows need.
 //!
-//! Everything stays exact integer (tick) arithmetic in stable Rust — plain
-//! arrays the auto-vectorizer can unroll, no `std::simd`. The per-lane
-//! division chains of the RTA recurrence do not vectorize on most targets,
-//! but eight independent chains give the out-of-order core real
-//! instruction-level parallelism, and the surrounding bookkeeping
-//! (interference sums, masks) does vectorize.
+//! Two inputs let a caller skip work it has already done:
+//!
+//! * a **start row** ([`BatchRtaKernel::set_start`]): rows above it keep
+//!   their verdicts and only interfere. The partition heuristics re-verify
+//!   just the rows at and below an inserted candidate, whose interferer sets
+//!   changed;
+//! * a **warm-start seed** per row ([`BatchRtaKernel::push_seeded`]): a known
+//!   lower bound of the row's response time, typically the value it solved
+//!   to before the candidate joined its interferers. The recurrence starts at
+//!   the larger of the seed and the utilization bound `C / (1 − U_hp)`. This
+//!   is the initial-value technique of Davis, Zabos and Burns ("Efficient
+//!   exact schedulability tests for fixed priority real-time systems", IEEE
+//!   TC 2008).
+//!
+//! Everything stays exact integer (tick) arithmetic in stable Rust.
 //!
 //! # Oracle contract
 //!
 //! The scalar implementation remains the differential oracle: for every
 //! lane, [`BatchRtaKernel`] produces **bit-identical** [`ResponseTime`]
 //! verdicts to [`crate::rta::response_time_with_interference`] over the
-//! same rows. This holds because every per-lane operation sequence is the
-//! scalar sequence: saturating `u64` sums of non-negative terms are
-//! order-independent (the result is `min(exact total, u64::MAX)` in every
-//! order), so adding interferers in row order instead of task-id order
-//! cannot change a single bit. The property is pinned by differential
-//! proptests below.
+//! same rows, for any seeds that meet [`BatchRtaKernel::push_seeded`]'s
+//! precondition. Two facts carry this:
+//!
+//! * saturating `u64` sums of non-negative terms are order-independent (the
+//!   result is `min(exact total, u64::MAX)` in every order), so adding
+//!   interferers in row order instead of task-id order cannot change a bit;
+//! * the recurrence `R ↦ C + Σ ⌈R / T_j⌉ · C_j` is monotone, so below its
+//!   least fixed point it strictly climbs. From any start at or below that
+//!   fixed point it stops exactly on it, and on a row whose fixed point
+//!   lies past the deadline it passes the deadline from any start.
+//!
+//! Differential proptests below pin the contract, seeds included.
 
 use crate::rta::ResponseTime;
 use crate::time::Time;
 
-/// The fixed lane width of every batch kernel: eight 64-bit columns, one
-/// 512-bit row per task parameter.
+/// The lane width of every batch kernel: one dispatch carries at most eight
+/// independent questions.
 pub const LANES: usize = 8;
 
 /// Whether a caller wants the batched kernels or the scalar reference
@@ -40,17 +55,17 @@ pub const LANES: usize = 8;
 /// both produce bit-identical results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BatchMode {
-    /// Evaluate through the structure-of-arrays lane kernels (default).
+    /// Evaluate through the lane kernels (default).
     #[default]
     Batch,
     /// Evaluate through the scalar reference implementations.
     Scalar,
 }
 
-/// Counters describing how well the batch kernels were fed: a histogram of
-/// lane occupancy per dispatched batch, plus how often a caller fell back
-/// to the scalar path (ragged remainders, shapes with fewer than two
-/// lanes, or non-batchable configurations).
+/// Counters describing how the batch kernels were fed: a histogram of lane
+/// occupancy per dispatched batch, plus how often a batch-mode caller took
+/// the scalar path because the kernels do not cover its configuration
+/// (partitioning under a non-RTA admission test).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchStats {
     /// `lanes_filled[k]` counts batches dispatched with exactly `k` lanes
@@ -86,23 +101,31 @@ impl BatchStats {
     }
 }
 
-/// A structure-of-arrays response-time kernel: up to [`LANES`] independent
-/// rate-monotonic task columns verified in lockstep.
+/// One task row of a lane, in ticks.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    wcet: u64,
+    period: u64,
+    deadline: u64,
+    /// Warm-start lower bound of the row's response time (0: none).
+    seed: u64,
+}
+
+/// A response-time kernel over up to [`LANES`] independent rate-monotonic
+/// task lists, one per lane, solved lane by lane.
 ///
 /// Each lane holds one core's candidate task list in **priority order**
-/// (rows sorted highest priority first); rows are stored lane-major
-/// (`row[j][lane]`), padded with neutral values (`wcet = 0`, `period = 1`)
-/// so the inner loops stay branch-free across ragged lanes. A lane may set
-/// a *start row*: rows before it are assumed schedulable with unchanged
-/// response times (the partition heuristics use this for suffix-only
-/// re-verification after inserting a candidate task, which is sound
-/// because a row's interferer set is exactly the rows above it).
+/// (rows sorted highest priority first); a row's interferers are exactly
+/// the rows above it. A lane may set a *start row*: rows before it are
+/// taken as schedulable with unchanged response times and are not solved
+/// (the partition heuristics use this for suffix-only re-verification after
+/// inserting a candidate task, which is sound because a row's interferer
+/// set is exactly the rows above it). Rows may carry warm-start seeds (see
+/// [`BatchRtaKernel::push_seeded`]). Row storage is recycled across
+/// dispatches, so a long-lived kernel allocates only while its lanes grow.
 #[derive(Debug, Default)]
 pub struct BatchRtaKernel {
-    wcet: Vec<[u64; LANES]>,
-    period: Vec<[u64; LANES]>,
-    deadline: Vec<[u64; LANES]>,
-    len: [usize; LANES],
+    rows: [Vec<Row>; LANES],
     start: [usize; LANES],
     lanes: usize,
 }
@@ -122,45 +145,47 @@ impl BatchRtaKernel {
     /// Panics if `lanes > LANES`.
     pub fn begin(&mut self, lanes: usize) {
         assert!(lanes <= LANES, "a batch holds at most {LANES} lanes");
-        // Re-neutralise pooled rows so unwritten cells are harmless pads.
-        for row in &mut self.wcet {
-            *row = [0; LANES];
+        for rows in &mut self.rows {
+            rows.clear();
         }
-        for row in &mut self.period {
-            *row = [1; LANES];
-        }
-        for row in &mut self.deadline {
-            *row = [0; LANES];
-        }
-        self.len = [0; LANES];
         self.start = [0; LANES];
         self.lanes = lanes;
     }
 
-    /// Appends one task row (ticks) to `lane`, in priority order.
+    /// Appends one task row (ticks) to `lane`, in priority order, with no
+    /// warm-start seed.
     ///
     /// # Panics
     ///
     /// Panics if `lane` is out of range or `period` is zero.
     pub fn push(&mut self, lane: usize, wcet: u64, period: u64, deadline: u64) {
-        assert!(lane < self.lanes, "lane {lane} out of {} lanes", self.lanes);
-        assert!(period > 0, "a task must have a positive period");
-        let row = self.len[lane];
-        if row == self.wcet.len() {
-            self.wcet.push([0; LANES]);
-            self.period.push([1; LANES]);
-            self.deadline.push([0; LANES]);
-        }
-        self.wcet[row][lane] = wcet;
-        self.period[row][lane] = period;
-        self.deadline[row][lane] = deadline;
-        self.len[lane] = row + 1;
+        self.push_seeded(lane, wcet, period, deadline, 0);
     }
 
-    /// Number of rows currently loaded into `lane`.
-    #[must_use]
-    pub fn rows(&self, lane: usize) -> usize {
-        self.len[lane]
+    /// Appends one task row (ticks) to `lane`, in priority order, whose
+    /// recurrence starts no lower than `seed`.
+    ///
+    /// **Precondition:** if the row is schedulable, `seed` must not exceed
+    /// its exact response time over the rows above it (its least fixed
+    /// point). A response time the row solved to under a subset of its
+    /// current interferers qualifies, because adding an interferer can only
+    /// raise the fixed point. On an unschedulable row any seed is sound.
+    /// Under the precondition every verdict and response time is
+    /// bit-identical to an unseeded row's; a seed above a schedulable row's
+    /// fixed point would report a too-large response time or a false miss.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range or `period` is zero.
+    pub fn push_seeded(&mut self, lane: usize, wcet: u64, period: u64, deadline: u64, seed: u64) {
+        assert!(lane < self.lanes, "lane {lane} out of {} lanes", self.lanes);
+        assert!(period > 0, "a task must have a positive period");
+        self.rows[lane].push(Row {
+            wcet,
+            period,
+            deadline,
+            seed,
+        });
     }
 
     /// Verification starts at `row` for `lane`: rows before it are taken as
@@ -170,15 +195,18 @@ impl BatchRtaKernel {
     ///
     /// Panics if `row` exceeds the lane's current length.
     pub fn set_start(&mut self, lane: usize, row: usize) {
-        assert!(row <= self.len[lane], "start row past the lane's rows");
+        assert!(
+            row <= self.rows[lane].len(),
+            "start row past the lane's rows"
+        );
         self.start[lane] = row;
     }
 
-    /// Runs the fixed-point recurrences of every lane in lockstep.
+    /// Solves every lane's rows, from the lane's start row down.
     ///
-    /// Returns, per lane, whether every verified row (from the lane's start
-    /// row down) is schedulable. `on_row` observes each verified row's
-    /// verdict as it resolves — bit-identical to the scalar
+    /// Returns, per lane, whether every verified row is schedulable.
+    /// `on_row(lane, row, verdict)` observes each verified row's verdict as
+    /// it resolves — bit-identical to the scalar
     /// [`crate::rta::response_time_with_interference`] over the same rows.
     /// With `stop_on_failure` a lane abandons its remaining rows at the
     /// first unschedulable verdict (the admission-test shape); without it,
@@ -188,105 +216,24 @@ impl BatchRtaKernel {
         F: FnMut(usize, usize, ResponseTime),
     {
         let mut ok = [true; LANES];
-        let mut active = [false; LANES];
-        let mut cur = self.start;
-        let mut r = [0u64; LANES];
-        let mut base = [0u64; LANES];
-        // Per-lane interference utilization of the rows above the current
-        // row, folded incrementally as `cur` advances (rows below `start`
-        // included — they interfere even when not re-verified). Feeds the
-        // recurrence seed of `open_row`.
-        let mut util = Acc {
-            sum: [0.0; LANES],
-            row: [0; LANES],
-        };
-
-        for lane in 0..self.lanes {
-            self.open_row(
-                lane,
-                &mut cur,
-                &mut r,
-                &mut base,
-                &mut active,
-                &mut ok,
-                &mut util,
-                stop_on_failure,
-                &mut on_row,
-            );
-        }
-
-        loop {
-            let mut deepest = 0usize;
-            let mut any = false;
-            for lane in 0..self.lanes {
-                if active[lane] {
-                    any = true;
-                    deepest = deepest.max(cur[lane]);
-                }
-            }
-            if !any {
-                break;
-            }
-            // One lockstep recurrence iteration: every active lane's
-            // candidate response time absorbs the interference of the rows
-            // above its current row. Masked, branch-free accumulation: the
-            // pad cells (wcet 0, period 1) and the `take` mask keep
-            // off-lane work inert without branching.
-            let mut next = base;
-            for j in 0..deepest {
-                let w = &self.wcet[j];
-                let p = &self.period[j];
-                for lane in 0..LANES {
-                    let take = u64::from(j < cur[lane] && active[lane]);
-                    let jobs = r[lane].div_ceil(p[lane]);
-                    next[lane] = next[lane].saturating_add(take * w[lane].saturating_mul(jobs));
-                }
-            }
-            for lane in 0..self.lanes {
-                if !active[lane] {
-                    continue;
-                }
-                let d = self.deadline[cur[lane]][lane];
-                if next[lane] > d {
-                    ok[lane] = false;
-                    on_row(lane, cur[lane], ResponseTime::Unschedulable);
-                    if stop_on_failure {
-                        active[lane] = false;
-                    } else {
-                        cur[lane] += 1;
-                        self.open_row(
-                            lane,
-                            &mut cur,
-                            &mut r,
-                            &mut base,
-                            &mut active,
-                            &mut ok,
-                            &mut util,
-                            stop_on_failure,
-                            &mut on_row,
-                        );
+        for (lane, lane_ok) in ok.iter_mut().enumerate().take(self.lanes) {
+            let rows = &self.rows[lane];
+            // Interference utilization of the rows above the current row,
+            // folded in row order (rows before the start row included: they
+            // interfere even when not re-verified).
+            let mut util = 0.0f64;
+            for (i, row) in rows.iter().enumerate() {
+                if i >= self.start[lane] {
+                    let verdict = solve_row(&rows[..i], row, util);
+                    on_row(lane, i, verdict);
+                    if !verdict.is_schedulable() {
+                        *lane_ok = false;
+                        if stop_on_failure {
+                            break;
+                        }
                     }
-                } else if next[lane] == r[lane] {
-                    on_row(
-                        lane,
-                        cur[lane],
-                        ResponseTime::Schedulable(Time::from_ticks(r[lane])),
-                    );
-                    cur[lane] += 1;
-                    self.open_row(
-                        lane,
-                        &mut cur,
-                        &mut r,
-                        &mut base,
-                        &mut active,
-                        &mut ok,
-                        &mut util,
-                        stop_on_failure,
-                        &mut on_row,
-                    );
-                } else {
-                    r[lane] = next[lane];
                 }
+                util += row.wcet as f64 / row.period as f64;
             }
         }
         ok
@@ -299,68 +246,40 @@ impl BatchRtaKernel {
     pub fn verdicts(&self) -> [bool; LANES] {
         self.solve(true, |_, _, _| ())
     }
-
-    /// Positions `lane` at its next solvable row (skipping or failing rows
-    /// whose WCET already exceeds their deadline, exactly like the scalar
-    /// base check) and seeds its recurrence state from the
-    /// utilization-derived lower bound of
-    /// [`crate::rta::response_time_with_blocking`]: the fixed point
-    /// satisfies `R ≥ wcet / (1 − U_hp)`, so rows on near-saturated lanes
-    /// start their recurrence where it matters (or fail outright when the
-    /// bound already misses the deadline — the recurrence converges to the
-    /// identical fixed point either way, so verdicts stay bit-identical).
-    #[allow(clippy::too_many_arguments)]
-    fn open_row<F>(
-        &self,
-        lane: usize,
-        cur: &mut [usize; LANES],
-        r: &mut [u64; LANES],
-        base: &mut [u64; LANES],
-        active: &mut [bool; LANES],
-        ok: &mut [bool; LANES],
-        util: &mut Acc,
-        stop_on_failure: bool,
-        on_row: &mut F,
-    ) where
-        F: FnMut(usize, usize, ResponseTime),
-    {
-        loop {
-            if cur[lane] >= self.len[lane] {
-                active[lane] = false;
-                return;
-            }
-            // Fold the interference utilization of rows newly above `cur`.
-            while util.row[lane] < cur[lane] {
-                let j = util.row[lane];
-                util.sum[lane] += self.wcet[j][lane] as f64 / self.period[j][lane] as f64;
-                util.row[lane] = j + 1;
-            }
-            let w = self.wcet[cur[lane]][lane];
-            let d = self.deadline[cur[lane]][lane];
-            let seed = crate::rta::seed_from_utilization(w, util.sum[lane]);
-            if w > d || seed.is_none_or(|s| s > d) {
-                ok[lane] = false;
-                on_row(lane, cur[lane], ResponseTime::Unschedulable);
-                if stop_on_failure {
-                    active[lane] = false;
-                    return;
-                }
-                cur[lane] += 1;
-                continue;
-            }
-            base[lane] = w;
-            r[lane] = seed.expect("checked above");
-            active[lane] = true;
-            return;
-        }
-    }
 }
 
-/// Incremental per-lane fold of the interference utilization above the
-/// current row (see [`BatchRtaKernel::open_row`]).
-struct Acc {
-    sum: [f64; LANES],
-    row: [usize; LANES],
+/// The response time of `row` under the interference of `hp` (the rows
+/// above it, whose utilizations sum to `util`).
+///
+/// The recurrence starts at the larger of the row's seed and the
+/// utilization-derived lower bound of
+/// [`crate::rta::response_time_with_blocking`] — the fixed point satisfies
+/// `R ≥ wcet / (1 − U_hp)` — and fails outright when that start already
+/// misses the deadline. A schedulable row converges to the identical fixed
+/// point from either start, so verdicts stay bit-identical.
+fn solve_row(hp: &[Row], row: &Row, util: f64) -> ResponseTime {
+    // `None`: the interference alone saturates the core.
+    let Some(floor) = crate::rta::seed_from_utilization(row.wcet, util) else {
+        return ResponseTime::Unschedulable;
+    };
+    // The floor is at least the WCET, so this also covers `wcet > deadline`.
+    let mut r = floor.max(row.seed);
+    if r > row.deadline {
+        return ResponseTime::Unschedulable;
+    }
+    loop {
+        let mut next = row.wcet;
+        for j in hp {
+            next = next.saturating_add(j.wcet.saturating_mul(r.div_ceil(j.period)));
+        }
+        if next > row.deadline {
+            return ResponseTime::Unschedulable;
+        }
+        if next == r {
+            return ResponseTime::Schedulable(Time::from_ticks(r));
+        }
+        r = next;
+    }
 }
 
 #[cfg(test)]
@@ -566,6 +485,61 @@ mod tests {
             kernel.set_start(0, inserted_at);
             let suffix_ok = kernel.verdicts()[0];
             prop_assert_eq!(suffix_ok, crate::rta::is_schedulable_rm(&merged));
+        }
+
+        #[test]
+        fn warm_seeds_at_or_below_the_fixed_point_change_no_bit(
+            sets in prop::collection::vec(arb_set(9), 1..=LANES),
+            draws in prop::collection::vec(0u64..=u64::MAX, LANES * 9)
+        ) {
+            // The seeding precondition: a schedulable row's seed lies in
+            // [0, R] (both ends included on purpose), an unschedulable row's
+            // is arbitrary. Seeded lanes must reproduce the unseeded
+            // verdicts and response times bit for bit, in the full-analysis
+            // and the admission shape.
+            let mut kernel = BatchRtaKernel::new();
+            kernel.begin(sets.len());
+            let mut orders = Vec::new();
+            for (lane, set) in sets.iter().enumerate() {
+                orders.push(load_rm(&mut kernel, lane, set));
+            }
+            let mut plain: Vec<Vec<Option<ResponseTime>>> =
+                sets.iter().map(|s| vec![None; s.len()]).collect();
+            let plain_ok = kernel.solve(false, |lane, row, rt| plain[lane][row] = Some(rt));
+            let plain_admit = kernel.verdicts();
+
+            kernel.begin(sets.len());
+            let mut draw = draws.iter().copied();
+            for (lane, set) in sets.iter().enumerate() {
+                for (row, &i) in orders[lane].iter().enumerate() {
+                    let t = &set[crate::task::TaskId(i)];
+                    let d = draw.next().unwrap();
+                    let seed = match plain[lane][row].unwrap() {
+                        ResponseTime::Schedulable(r) => match d % 4 {
+                            0 => 0,
+                            1 => r.as_ticks(),
+                            _ => d % (r.as_ticks() + 1),
+                        },
+                        ResponseTime::Unschedulable if d % 2 == 0 => {
+                            d % (t.deadline().as_ticks() + 1)
+                        }
+                        ResponseTime::Unschedulable => d,
+                    };
+                    kernel.push_seeded(
+                        lane,
+                        t.wcet().as_ticks(),
+                        t.period().as_ticks(),
+                        t.deadline().as_ticks(),
+                        seed,
+                    );
+                }
+            }
+            let mut seeded: Vec<Vec<Option<ResponseTime>>> =
+                sets.iter().map(|s| vec![None; s.len()]).collect();
+            let seeded_ok = kernel.solve(false, |lane, row, rt| seeded[lane][row] = Some(rt));
+            prop_assert_eq!(&seeded, &plain);
+            prop_assert_eq!(seeded_ok, plain_ok);
+            prop_assert_eq!(kernel.verdicts(), plain_admit);
         }
 
         #[test]

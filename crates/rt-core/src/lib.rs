@@ -15,8 +15,8 @@
 //!   Eq. (1) of the paper ([`dbf`]),
 //! * exact response-time analysis for fixed-priority preemptive uniprocessor
 //!   scheduling ([`rta`]),
-//! * a structure-of-arrays batch kernel evaluating up to eight RTA
-//!   instances per recurrence iteration ([`batch`]), and
+//! * a batch kernel solving up to eight per-core RTA instances per
+//!   dispatch, with warm-started recurrences ([`batch`]), and
 //! * hyperperiod computation ([`hyperperiod`]).
 //!
 //! # Example

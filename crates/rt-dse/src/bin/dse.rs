@@ -113,9 +113,9 @@ SCALE-OUT OPTIONS:
     --store DIR           back the memo cache with the persistent
                           content-addressed store under DIR (created on first
                           use; shared with dse-serve). Repeat sweeps answer
-                          task-set generation, feasibility, partitioning and
-                          allocation work from disk; output bytes are
-                          identical with or without it
+                          task-set generation, feasibility and allocation
+                          work from disk; output bytes are identical with
+                          or without it
     --shard I/N           evaluate the I-th of N contiguous grid shards; files
                           are named {name}_shardIofN.* and only shard 1 writes
                           the CSV header, so concatenating every shard's file
@@ -602,9 +602,10 @@ fn run_report_json(
         "null".to_owned()
     };
     let rss = peak_rss_bytes().map_or_else(|| "null".to_owned(), |b| b.to_string());
-    // v2: the near-dead partition memo family was retired (its hit rate
-    // measured ~0.1% on representative sweeps — partitioning is folded
-    // into the allocation memo, which dedups whole repeated problems).
+    // v2: the partition memo family was retired. The allocation memo
+    // already dedups repeated (problem, scheme) pairs, and the schemes of
+    // one problem group share its partitions in the worker's scratch, so
+    // no memo counter tracks partitions.
     format!(
         "{{\n  \"schema\": \"dse-run/v2\",\n  \"scenarios\": {evaluated},\n  \
          \"threads\": {threads},\n  \"elapsed_secs\": {secs:.6},\n  \

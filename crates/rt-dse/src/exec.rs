@@ -41,7 +41,7 @@ use hydra_core::{Allocation, AllocationError, AllocationProblem};
 use rt_core::batch::{BatchMode, BatchStats};
 use rt_core::dbf::necessary_condition_default_horizon;
 use rt_core::Time;
-use rt_partition::partition_tasks_with_mode;
+use rt_partition::{partition_tasks_with_mode, Partition};
 use rt_sim::attack::{AttackScenario, InjectedAttack};
 use rt_sim::detection::OnlineDetector;
 use rt_sim::engine::{simulate_with_scratch, SimConfig, SimScratch};
@@ -182,8 +182,15 @@ pub struct Executor {
 /// of the hot detection path — building the simulator workload, generating
 /// the attack schedule, running the event-driven simulation and folding the
 /// detection latencies — recycles these buffers instead of allocating.
+///
+/// The scratch also holds the real-time partitions of the worker's current
+/// problem group (see `EvalScratch::partition`).
 #[derive(Debug, Default)]
 pub struct EvalScratch {
+    /// The current group's real-time partitions (failures included), keyed
+    /// by problem and partitioned core count. Cleared when the worker claims
+    /// its next group, so it never holds more than the group's one problem.
+    partitions: Vec<(PartitionKey, Result<Partition, AllocationError>)>,
     /// The simulator workload (`SimTask` names reuse their `String`s).
     tasks: Vec<SimTask>,
     /// The injected attack schedule.
@@ -200,11 +207,47 @@ pub struct EvalScratch {
     detector: OnlineDetector,
 }
 
+/// Identifies one real-time partition: the problem and the number of cores
+/// its real-time tasks are packed onto.
+type PartitionKey = (ProblemKey, usize);
+
 impl EvalScratch {
     /// Creates an empty scratch.
     #[must_use]
     pub fn new() -> Self {
         EvalScratch::default()
+    }
+
+    /// Forgets the previous group's partitions.
+    fn begin_group(&mut self) {
+        self.partitions.clear();
+    }
+
+    /// The real-time partition of `problem` on `rt_cores` cores. The group's
+    /// first request builds it (one `partition_tasks` run, spanned and
+    /// batch-counted) and every later scheme of the group shares it: HYDRA,
+    /// NP-HYDRA, Precedence and Optimal all pack `problem.rt_tasks` onto the
+    /// full platform under `problem.partition_config`, while SingleCore
+    /// packs `M − 1` cores. A failure is shared the same way. The reuse is
+    /// group-local, so the partition count does not depend on the thread
+    /// count and needs no memo family (see "The retired partition family"
+    /// in `memo.rs`).
+    fn partition(
+        &mut self,
+        key: PartitionKey,
+        problem: &AllocationProblem,
+        wobs: &WorkerObs,
+        mode: BatchMode,
+    ) -> Result<&Partition, AllocationError> {
+        let at = match self.partitions.iter().position(|(k, _)| *k == key) {
+            Some(at) => at,
+            None => {
+                let built = partition_inline(problem, key.1, wobs, mode);
+                self.partitions.push((key, built));
+                self.partitions.len() - 1
+            }
+        };
+        self.partitions[at].1.as_ref().map_err(Clone::clone)
     }
 }
 
@@ -315,7 +358,7 @@ impl Executor {
 
     /// Selects the analysis-kernel mode: [`BatchMode::Batch`] (the default)
     /// routes the hot partition-admission RTA and joint-refinement math
-    /// through the lane-batched SoA kernels; [`BatchMode::Scalar`] forces the
+    /// through the lane-batched kernels; [`BatchMode::Scalar`] forces the
     /// reference scalar implementations everywhere. The Eq. (1) feasibility
     /// filter is scalar in both modes. Outputs are byte-identical either way
     /// (the determinism tests prove it); the switch exists for differential
@@ -558,6 +601,7 @@ impl Executor {
             // synchronizes through the `drain` mutex below, scenario inputs
             // are immutable.
             'claim: while let Some(group) = groups.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                scratch.begin_group();
                 for i in group.clone() {
                     if cancelled() {
                         break 'claim;
@@ -726,18 +770,15 @@ fn evaluate(
     }
 }
 
-/// Builds the scheme's real-time partition inline (one `partition_tasks`
-/// run, spanned and batch-counted). The cross-scheme partition memo that
-/// used to sit here was retired after measuring a < 0.1 % hit rate — the
-/// allocation memo upstream already dedups every repeat of a
-/// `(problem, scheme)` pair, so this closure runs at most once per allocator
-/// run anyway; see the "retired partition family" notes in `memo.rs`.
+/// Builds one real-time partition: a `partition_tasks` run, spanned and
+/// batch-counted. [`EvalScratch::partition`] calls it once per problem
+/// group and core count.
 fn partition_inline(
     problem: &AllocationProblem,
     rt_cores: usize,
     wobs: &WorkerObs,
     mode: BatchMode,
-) -> Result<rt_partition::Partition, AllocationError> {
+) -> Result<Partition, AllocationError> {
     let _span = wobs.tracer.span(PHASE_PARTITION);
     let mut bstats = BatchStats::default();
     let built = partition_tasks_with_mode(
@@ -755,14 +796,16 @@ fn partition_inline(
     built
 }
 
-/// Runs the scenario's allocator against an inline real-time partition.
-/// Schemes other than SingleCore partition the full platform; SingleCore
-/// partitions `M − 1` cores and re-expresses the result over the full
-/// platform.
+/// Runs the scenario's allocator against the group's shared real-time
+/// partition. Schemes other than SingleCore partition the full platform;
+/// SingleCore partitions `M − 1` cores and re-expresses the result over the
+/// full platform.
 fn allocate_shared(
     scenario: &Scenario,
     allocator: &dyn Allocator,
+    problem_key: ProblemKey,
     problem: &AllocationProblem,
+    scratch: &mut EvalScratch,
     wobs: &WorkerObs,
     mode: BatchMode,
 ) -> Result<Allocation, AllocationError> {
@@ -776,29 +819,31 @@ fn allocate_shared(
     } else {
         problem.cores
     };
-    let partition = partition_inline(problem, rt_cores, wobs, mode)?;
+    let partition = scratch.partition((problem_key, rt_cores), problem, wobs, mode)?;
     if single_core {
         let widened =
-            SingleCoreAllocator::widen_partition(&partition, problem.cores, problem.rt_tasks.len());
+            SingleCoreAllocator::widen_partition(partition, problem.cores, problem.rt_tasks.len());
         allocator.allocate_with_rt_partition(problem, &widened)
     } else {
-        allocator.allocate_with_rt_partition(problem, &partition)
+        allocator.allocate_with_rt_partition(problem, partition)
     }
 }
 
-/// The Optimal scheme's allocation path: partitions inline exactly like
-/// [`allocate_shared`], but runs the branch-and-bound through its
-/// stats-returning entry point so the search counters flow onto the
+/// The Optimal scheme's allocation path: shares the full-platform partition
+/// exactly like [`allocate_shared`], but runs the branch-and-bound through
+/// its stats-returning entry point so the search counters flow onto the
 /// registry. The returned allocation is identical to the plain
 /// [`Allocator::allocate_with_rt_partition`] path.
 fn allocate_optimal(
+    problem_key: ProblemKey,
     problem: &AllocationProblem,
+    scratch: &mut EvalScratch,
     wobs: &WorkerObs,
     mode: BatchMode,
 ) -> Result<Allocation, AllocationError> {
-    let partition = partition_inline(problem, problem.cores, wobs, mode)?;
+    let partition = scratch.partition((problem_key, problem.cores), problem, wobs, mode)?;
     let (allocation, stats) =
-        OptimalAllocator::default().allocate_with_rt_partition_stats(problem, &partition)?;
+        OptimalAllocator::default().allocate_with_rt_partition_stats(problem, partition)?;
     wobs.add_search_stats(stats.visited, stats.pruned, stats.total);
     Ok(allocation)
 }
@@ -840,12 +885,20 @@ fn allocate_and_measure(
             if scenario.allocator == AllocatorKind::Optimal {
                 // Routed through the stats-returning entry point (identical
                 // result) so the search counters reach the registry.
-                allocate_optimal(problem, wobs, mode)
+                allocate_optimal(problem_key, problem, scratch, wobs, mode)
             } else {
                 let allocator = scenario
                     .allocator
                     .build(problem.security_tasks.len(), &spec.workload);
-                allocate_shared(scenario, &*allocator, problem, wobs, mode)
+                allocate_shared(
+                    scenario,
+                    &*allocator,
+                    problem_key,
+                    problem,
+                    scratch,
+                    wobs,
+                    mode,
+                )
             }
         },
     );
@@ -1050,11 +1103,10 @@ mod tests {
 
     #[test]
     fn allocator_axis_runs_one_allocation_per_scheme() {
-        // Each scheme's placement search (with its inline `partition_tasks`)
-        // is its own allocation-memo entry: one miss per (problem, scheme),
-        // never a cross-scheme hit. This is the invariant that made the old
-        // cross-scheme partition memo dead weight — see memo.rs, "the
-        // retired partition family".
+        // Each scheme's placement search is its own allocation-memo entry:
+        // one miss per (problem, scheme), never a cross-scheme hit. Only
+        // the real-time partition under it is shared across schemes, inside
+        // the problem group — see memo.rs, "the retired partition family".
         let mut spec = tiny_spec();
         spec.allocators = vec![AllocatorKind::Hydra, AllocatorKind::NpHydra];
         let result = Executor::serial().run(&spec);
@@ -1066,6 +1118,89 @@ mod tests {
         assert!(feasible_problems > 0);
         assert_eq!(result.memo.allocation_misses, 2 * feasible_problems);
         assert_eq!(result.memo.allocation_hits, 0);
+    }
+
+    /// Spans the `partition` phase recorded.
+    fn partition_count(obs: &SweepObs) -> u64 {
+        obs.phase_rows()
+            .iter()
+            .find(|row| row.name == "partition")
+            .map_or(0, |row| row.count)
+    }
+
+    #[test]
+    fn the_schemes_of_one_problem_share_its_partitions_at_any_thread_count() {
+        use crate::spec::PeriodPolicy;
+        // HYDRA and NP-HYDRA pack the real-time tasks onto all M cores and
+        // share that partition; SingleCore packs M − 1 cores and builds its
+        // own. An exhaustive 3-scheme × 3-policy grid therefore runs exactly
+        // two partitions per Eq. (1)-feasible problem, and the reuse is
+        // group-local, so the count holds at every thread count.
+        let mut spec = tiny_spec();
+        spec.cores = vec![2, 4];
+        spec.utilizations = UtilizationGrid::Fractions(vec![0.2, 0.5, 0.8]);
+        spec.allocators = vec![
+            AllocatorKind::Hydra,
+            AllocatorKind::SingleCore,
+            AllocatorKind::NpHydra,
+        ];
+        spec.period_policies = vec![
+            PeriodPolicy::Fixed,
+            PeriodPolicy::Adapt,
+            PeriodPolicy::Joint,
+        ];
+        for threads in [1, 2, 4] {
+            let obs = SweepObs::enabled();
+            let result = Executor::with_threads(threads)
+                .with_observability(obs.clone())
+                .run(&spec);
+            let feasible_problems = result
+                .outcomes
+                .iter()
+                .filter(|o| {
+                    o.feasible
+                        && o.scenario.allocator == AllocatorKind::Hydra
+                        && o.scenario.policy == PeriodPolicy::Fixed
+                })
+                .count() as u64;
+            assert!(feasible_problems > 0);
+            assert_eq!(
+                partition_count(&obs),
+                2 * feasible_problems,
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn a_failed_partition_is_shared_like_a_successful_one() {
+        // Near full utilization the real-time partition fails on problems
+        // Eq. (1) lets through. HYDRA and NP-HYDRA then report the one
+        // shared failure, and each problem runs one partition.
+        let mut spec = tiny_spec();
+        spec.utilizations = UtilizationGrid::Fractions(vec![0.95, 1.0]);
+        spec.allocators = vec![AllocatorKind::Hydra, AllocatorKind::NpHydra];
+        spec.trials = 8;
+        let obs = SweepObs::enabled();
+        let result = Executor::serial()
+            .with_observability(obs.clone())
+            .run(&spec);
+        let mut failed = 0;
+        let mut feasible_problems = 0;
+        for pair in result.outcomes.chunks(2) {
+            assert_eq!(pair[0].scenario.allocator, AllocatorKind::Hydra);
+            assert_eq!(pair[1].scenario.allocator, AllocatorKind::NpHydra);
+            assert_eq!(pair[0].error, pair[1].error);
+            feasible_problems += u64::from(pair[0].feasible);
+            failed += usize::from(
+                pair[0]
+                    .error
+                    .as_deref()
+                    .is_some_and(|e| e.contains("cannot be partitioned")),
+            );
+        }
+        assert!(failed > 0, "the grid must hit partition failures");
+        assert_eq!(partition_count(&obs), feasible_problems);
     }
 
     #[test]

@@ -41,11 +41,21 @@
 //!    its own `(seed, stream)` address, so two grid points virtually never
 //!    hash alike; the stray hits were low-utilization collisions.
 //!
-//! The partition is now computed inline by the allocator paths. The only
-//! reuse the family ever delivered — sweeps mixing two or more
-//! full-platform schemes, one hit per extra scheme per feasible problem —
-//! costs at most one extra `partition_tasks` run per such scheme, noise
-//! next to the placement search the allocation family still dedups.
+//! The only reuse the family ever delivered is sweeps mixing two or more
+//! full-platform schemes: HYDRA, NP-HYDRA, Precedence and Optimal pack the
+//! same real-time tasks onto the same `M` cores. That reuse is not noise.
+//! Without it, the Fig. 2 `alloc-grid` ledger (`perfbench --workload
+//! alloc-grid --seed 1 --seconds 10 --trace 1`, 2-vCPU host, hydra +
+//! singlecore + nphydra) put the partition at 66 % of the summed self time,
+//! 1,781 ms against 46 ms of placement, and one partition in three repeated
+//! another (7,020 runs for 4,680 distinct problem and core-count pairs).
+//!
+//! It needs no memo family, though. Every variant of a problem runs in one
+//! problem group on one worker, so the worker's scratch keeps the group's
+//! partitions, failures included, keyed by problem and core count, and
+//! drops them when it claims the next group (`EvalScratch::partition` in
+//! `exec.rs`). The partition count is exact and thread-independent by
+//! construction, and nothing reaches the store.
 
 // The sharded caches are keyed point-lookups, never iterated, so hash order
 // cannot reach output bytes (allowlisted for lint rule D001).

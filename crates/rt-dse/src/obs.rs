@@ -20,7 +20,7 @@
 //! | `memo.{problem,feasibility,allocation}_{hits,misses}` | memo cache traffic |
 //! | `sim.{releases,completions,truncated,preemptions,idle_jumps}` | simulator scheduling events |
 //! | `optimal.{visited,pruned,total}` | branch-and-bound search statistics |
-//! | `batch.scalar_fallbacks` | partition-admission checks the batch kernel handed back to the scalar path |
+//! | `batch.scalar_fallbacks` | partitions run on the scalar path because their admission test has no kernel (non-RTA tests) |
 //! | `checkpoint.writes` | checkpoint files durably written (CLI only) |
 //!
 //! Gauges: `drain.reorder_depth` — outcomes parked in the reorder buffer.
@@ -53,7 +53,8 @@ pub const PHASES: &[&str] = &[
 
 /// Task-set generation (a problem-memo miss).
 pub const PHASE_GENERATE: usize = 0;
-/// Real-time partitioning (a partition-memo miss; nests inside `allocate`).
+/// Real-time partitioning (once per problem group and core count; nests
+/// inside `allocate`).
 pub const PHASE_PARTITION: usize = 1;
 /// The placement search (an allocation-memo miss).
 pub const PHASE_ALLOCATE: usize = 2;
@@ -218,9 +219,9 @@ impl WorkerObs {
     }
 
     /// Folds a [`rt_core::batch::BatchStats`] delta into the `batch.*`
-    /// metrics: `batch.scalar_fallbacks` counts analyses handed back to the
-    /// scalar path, and the `batch.lanes_filled` histogram records the
-    /// occupied-lane count of every batch dispatch.
+    /// metrics: `batch.scalar_fallbacks` counts partitions whose admission
+    /// test has no kernel, and the `batch.lanes_filled` histogram records
+    /// the occupied-lane count of every batch dispatch.
     pub fn add_batch_stats(&self, stats: &rt_core::batch::BatchStats) {
         if !self.shard.is_enabled() || stats.is_empty() {
             return;

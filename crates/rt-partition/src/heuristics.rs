@@ -9,8 +9,6 @@
 use core::fmt;
 
 use rt_core::batch::{BatchMode, BatchRtaKernel, BatchStats, LANES};
-use rt_core::priority::{PriorityAssignment, PriorityPolicy};
-use rt_core::rta::{self, ResponseTime};
 use rt_core::{TaskId, TaskSet};
 
 use crate::admission::AdmissionTest;
@@ -200,11 +198,11 @@ pub fn partition_tasks(
 /// path.
 ///
 /// Under [`BatchMode::Batch`] the response-time admission test of all cores
-/// is evaluated through the SoA [`BatchRtaKernel`], one lane per candidate
+/// is evaluated through the [`BatchRtaKernel`], one lane per candidate
 /// core, re-verifying only the suffix of each core's rate-monotonic order
-/// below the insertion point. Configurations the kernel does not cover
-/// (non-RTA admission tests, fewer than two cores) fall back to the scalar
-/// path and are tallied in `stats`. Both paths produce **identical**
+/// below the insertion point, warm-started from each row's last solved
+/// response time. Non-RTA admission tests have no kernel: they take the
+/// scalar path and are tallied in `stats`. Both paths produce **identical**
 /// partitions; [`BatchMode::Scalar`] forces the reference implementation
 /// (the differential oracle).
 ///
@@ -226,7 +224,6 @@ pub fn partition_tasks_with_mode(
     assert!(cores > 0, "cannot partition onto zero cores");
     if mode == BatchMode::Batch
         && config.admission == AdmissionTest::ResponseTime
-        && cores >= 2
         && !tasks.is_empty()
     {
         return partition_tasks_batched(tasks, cores, config, stats);
@@ -271,20 +268,30 @@ fn partition_tasks_scalar(
     Ok(partition)
 }
 
+/// One task row of a core's rate-monotonic order, in ticks.
+#[derive(Debug, Clone, Copy)]
+struct CoreRow {
+    id: usize,
+    wcet: u64,
+    period: u64,
+    deadline: u64,
+    /// The row's last solved response time under a subset of its current
+    /// interferers (0: never solved), so never above its current exact
+    /// response time — the warm-start seed of its next admission test.
+    response: u64,
+}
+
 /// One core's incremental packing state for the batched partitioner.
 ///
-/// `id`/`wcet`/`period`/`deadline` hold the core's tasks in rate-monotonic
-/// order — sorted by `(period, original task id)`, which is exactly the
-/// order [`PriorityAssignment::assign`] produces for the ascending-id subset
-/// a later admission test would build. `util_id`/`util` hold the same tasks
-/// in ascending-id order so the core's utilisation is the identical
-/// left-to-right `f64` fold as [`Partition::utilization_on`].
+/// `rows` holds the core's tasks in rate-monotonic order — sorted by
+/// `(period, original task id)`, which is exactly the order
+/// [`rt_core::PriorityAssignment::assign`] produces for the ascending-id
+/// subset a later admission test would build. `util_id`/`util` hold the
+/// same tasks in ascending-id order so the core's utilisation is the
+/// identical left-to-right `f64` fold as [`Partition::utilization_on`].
 #[derive(Debug, Default)]
 struct CoreRows {
-    id: Vec<usize>,
-    wcet: Vec<u64>,
-    period: Vec<u64>,
-    deadline: Vec<u64>,
+    rows: Vec<CoreRow>,
     util_id: Vec<usize>,
     util: Vec<f64>,
     /// How many rows have a constrained (`deadline < period`) deadline;
@@ -302,46 +309,31 @@ struct CoreRows {
     /// resulting miss at the next full re-verification, so the batched path
     /// marks them dirty and re-verifies them in the next admission test.
     dirty: Option<usize>,
+    /// Response times of the current candidate's exact test, by test row
+    /// (the candidate at [`CoreRows::test_pos`]); rows the test did not
+    /// solve keep their seeds. Empty when the hyperbolic bound admitted
+    /// the candidate without a test.
+    solved: Vec<u64>,
 }
 
 impl CoreRows {
     /// Where the candidate sits during *its own* admission test: after every
     /// row with `period <= p` (the oracle's candidate-last tie-breaking).
     fn test_pos(&self, p: u64) -> usize {
-        self.period.partition_point(|&row| row <= p)
+        self.rows.partition_point(|row| row.period <= p)
     }
 
     /// Where the candidate sits *once assigned*: rate-monotonic order with
     /// ties broken by original task id.
     fn state_pos(&self, p: u64, id: usize) -> usize {
-        let mut lo = 0usize;
-        let mut hi = self.id.len();
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if (self.period[mid], self.id[mid]) < (p, id) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        self.rows
+            .partition_point(|row| (row.period, row.id) < (p, id))
     }
 
     /// The core's current utilisation — the same ascending-id `f64` sum as
     /// [`Partition::utilization_on`].
     fn utilization(&self) -> f64 {
         self.util.iter().sum()
-    }
-
-    fn insert(&mut self, pos: usize, id: usize, w: u64, p: u64, d: u64, u: f64) {
-        self.id.insert(pos, id);
-        self.wcet.insert(pos, w);
-        self.period.insert(pos, p);
-        self.deadline.insert(pos, d);
-        self.non_implicit += usize::from(d != p);
-        let upos = self.util_id.partition_point(|&x| x < id);
-        self.util_id.insert(upos, id);
-        self.util.insert(upos, u);
     }
 
     /// Whether the hyperbolic bound (Bini & Buttazzo) certifies the merged
@@ -361,12 +353,58 @@ impl CoreRows {
         }
         product <= 2.0 - 1e-9
     }
+
+    /// Loads the core plus `cand` at its test position into `lane`, every
+    /// row seeded with its last solved response time, and primes `solved`
+    /// with those seeds.
+    fn load(&mut self, kernel: &mut BatchRtaKernel, lane: usize, cand: CoreRow) {
+        let pos = self.test_pos(cand.period);
+        self.solved.clear();
+        let (above, below) = self.rows.split_at(pos);
+        for row in above.iter().chain([&cand]).chain(below) {
+            kernel.push_seeded(lane, row.wcet, row.period, row.deadline, row.response);
+            self.solved.push(row.response);
+        }
+        kernel.set_start(lane, pos.min(self.dirty.unwrap_or(usize::MAX)));
+    }
+
+    /// Assigns `cand` to this core. After an exact test the solved response
+    /// times become the rows' new seeds; after a bound admission the rows
+    /// keep their old ones, which adding an interferer leaves valid.
+    fn commit(&mut self, mut cand: CoreRow, util: f64) {
+        let test = self.test_pos(cand.period);
+        let state = self.state_pos(cand.period, cand.id);
+        if !self.solved.is_empty() {
+            for (k, row) in self.rows.iter_mut().enumerate() {
+                row.response = self.solved[k + usize::from(k >= test)];
+            }
+            // A candidate that wins a period tie sits above rows it was
+            // tested below, so its test value can exceed its response time.
+            if state == test {
+                cand.response = self.solved[test];
+            }
+        }
+        self.rows.insert(state, cand);
+        self.non_implicit += usize::from(cand.deadline != cand.period);
+        let upos = self.util_id.partition_point(|&x| x < cand.id);
+        self.util_id.insert(upos, cand.id);
+        self.util.insert(upos, util);
+        if state < test {
+            // Tied rows with larger ids (now at `state + 1 ..= test`) gained
+            // the candidate as an interferer without being verified against
+            // it; re-check them next time.
+            let stale = state + 1;
+            self.dirty = Some(self.dirty.map_or(stale, |d| d.min(stale)));
+        }
+    }
 }
 
 /// The batched response-time partitioner: every task's admission test over
-/// all cores runs through the SoA [`BatchRtaKernel`], one lane per core, in
-/// chunks of up to [`LANES`] cores. Allocation-free on the per-task hot
-/// path, and bit-identical to [`partition_tasks_scalar`] with
+/// all cores runs through the [`BatchRtaKernel`], one lane per core, in
+/// dispatches of up to [`LANES`] cores (a one-core remainder or platform
+/// is a one-lane dispatch). Each core re-verifies only the rows at and
+/// below the candidate, warm-started from their last solved response times.
+/// Bit-identical to [`partition_tasks_scalar`] with
 /// [`AdmissionTest::ResponseTime`].
 fn partition_tasks_batched(
     tasks: &TaskSet,
@@ -380,70 +418,53 @@ fn partition_tasks_batched(
     let mut kernel = BatchRtaKernel::new();
     let mut admit = vec![false; cores];
     let mut admitting: Vec<(CoreId, f64)> = Vec::new();
-    let mut rta_scratch: Vec<ResponseTime> = Vec::new();
     let mut pending: Vec<usize> = Vec::with_capacity(cores);
 
     for task_id in pack_order(tasks, config.ordering) {
         let candidate = &tasks[task_id];
-        let cw = candidate.wcet().as_ticks();
-        let cp = candidate.period().as_ticks();
-        let cd = candidate.deadline().as_ticks();
+        let cand = CoreRow {
+            id: task_id.0,
+            wcet: candidate.wcet().as_ticks(),
+            period: candidate.period().as_ticks(),
+            deadline: candidate.deadline().as_ticks(),
+            response: 0,
+        };
         let cu = candidate.utilization();
 
         // Cores the hyperbolic bound certifies outright skip the exact
         // test entirely (the bound proves the whole merged core
         // schedulable, dirty rows included); the rest queue for the kernel.
         pending.clear();
-        for core in 0..cores {
-            if states[core].bound_admits(cu, cd == cp) {
+        for (core, st) in states.iter_mut().enumerate() {
+            if st.bound_admits(cu, cand.deadline == cand.period) {
                 admit[core] = true;
-                states[core].dirty = None;
+                st.dirty = None;
+                st.solved.clear();
             } else {
                 pending.push(core);
             }
         }
 
-        let mut first = 0usize;
-        while first < pending.len() {
-            let lanes = (pending.len() - first).min(LANES);
-            if lanes == 1 {
-                // Ragged single-core remainder: scalar fallback through the
-                // allocation-free RTA path.
-                let core = pending[first];
-                stats.record_fallback();
-                let verdict = scalar_admit(&states[core], tasks, task_id, &mut rta_scratch);
-                admit[core] = verdict;
-                if verdict {
+        for chunk in pending.chunks(LANES) {
+            kernel.begin(chunk.len());
+            stats.record_batch(chunk.len());
+            for (lane, &core) in chunk.iter().enumerate() {
+                states[core].load(&mut kernel, lane, cand);
+            }
+            let ok = kernel.solve(true, |lane, row, verdict| {
+                if let Some(r) = verdict.time() {
+                    states[chunk[lane]].solved[row] = r.as_ticks();
+                }
+            });
+            for (lane, &core) in chunk.iter().enumerate() {
+                admit[core] = ok[lane];
+                if ok[lane] {
+                    // Every row from the start row down was just verified
+                    // against a superset of its current interferers, so the
+                    // core is clean again.
                     states[core].dirty = None;
                 }
-            } else {
-                kernel.begin(lanes);
-                stats.record_batch(lanes);
-                for lane in 0..lanes {
-                    let st = &states[pending[first + lane]];
-                    let pos = st.test_pos(cp);
-                    for j in 0..pos {
-                        kernel.push(lane, st.wcet[j], st.period[j], st.deadline[j]);
-                    }
-                    kernel.push(lane, cw, cp, cd);
-                    for j in pos..st.id.len() {
-                        kernel.push(lane, st.wcet[j], st.period[j], st.deadline[j]);
-                    }
-                    kernel.set_start(lane, pos.min(st.dirty.unwrap_or(usize::MAX)));
-                }
-                let ok = kernel.verdicts();
-                for lane in 0..lanes {
-                    let core = pending[first + lane];
-                    admit[core] = ok[lane];
-                    if ok[lane] {
-                        // Every row from the start row down was just verified
-                        // against a superset of its current interferers, so
-                        // the core is clean again.
-                        states[core].dirty = None;
-                    }
-                }
             }
-            first += lanes;
         }
 
         admitting.clear();
@@ -456,17 +477,7 @@ fn partition_tasks_batched(
         match chosen {
             Some(core) => {
                 partition.assign(task_id, core);
-                let st = &mut states[core.0];
-                let test = st.test_pos(cp);
-                let state = st.state_pos(cp, task_id.0);
-                st.insert(state, task_id.0, cw, cp, cd, candidate.utilization());
-                if state < test {
-                    // Tied rows with larger ids (now at `state + 1 ..= test`)
-                    // gained the candidate as an interferer without being
-                    // verified against it; re-check them next time.
-                    let stale = state + 1;
-                    st.dirty = Some(st.dirty.map_or(stale, |d| d.min(stale)));
-                }
+                states[core.0].commit(cand, cu);
             }
             None => {
                 return Err(PartitionError {
@@ -477,27 +488,6 @@ fn partition_tasks_batched(
         }
     }
     Ok(partition)
-}
-
-/// Scalar admission of `candidate` onto the core described by `state`,
-/// reproducing [`AdmissionTest::admits_with`] for
-/// [`AdmissionTest::ResponseTime`] through the allocation-free
-/// [`rta::response_times_into`] (the response-time buffer is reused across
-/// calls).
-fn scalar_admit(
-    state: &CoreRows,
-    tasks: &TaskSet,
-    candidate: TaskId,
-    rta_scratch: &mut Vec<ResponseTime>,
-) -> bool {
-    let mut set = TaskSet::empty();
-    for &id in &state.util_id {
-        set.push(tasks[TaskId(id)].clone());
-    }
-    set.push(tasks[candidate].clone());
-    let pa = PriorityAssignment::assign(&set, PriorityPolicy::RateMonotonic);
-    rta::response_times_into(&set, &pa, rta_scratch);
-    rta_scratch.iter().all(|r| r.is_schedulable())
 }
 
 /// Partitions `tasks` over `cores` cores with the paper's default
@@ -705,9 +695,49 @@ mod tests {
         assert!(stats.lanes_filled[2] > 0);
         // id0 and id2 are implicit-deadline, so the hyperbolic bound admits
         // the emptier core without the kernel and only the core holding the
-        // tight-deadline id1 needs the exact test — a single lane, which
-        // takes the scalar fallback.
-        assert_eq!(stats.scalar_fallbacks, 2);
+        // tight-deadline id1 needs the exact test — a one-lane dispatch.
+        assert_eq!(stats.lanes_filled[1], 2);
+        assert_eq!(stats.scalar_fallbacks, 0);
+    }
+
+    #[test]
+    fn a_tie_winning_candidate_keeps_no_warm_seed_from_its_own_test() {
+        // DecreasingUtilization packs w, y, x, z onto one core. x ties y's
+        // period with a smaller id: its own test puts it below y (R = 699,
+        // exactly its deadline), but once assigned it sits above y, where
+        // its response time is 499. z then joins above x and x's exact
+        // response time is 609, yet a recurrence seeded at the stale 699
+        // jumps to 719 and misses the deadline. Only the seedless restart
+        // admits z, as the oracle does.
+        let t = |c: u64, p: u64, d: u64| {
+            RtTask::new(
+                Time::from_micros(c),
+                Time::from_micros(p),
+                Time::from_micros(d),
+            )
+            .unwrap()
+        };
+        let x = t(199, 1000, 699);
+        let y = t(200, 1000, 1000);
+        let w = t(300, 999, 999);
+        let z = t(110, 620, 620);
+        let tasks = set(vec![x, y, w, z]);
+        let cfg = PartitionConfig::new(Heuristic::FirstFit, AdmissionTest::ResponseTime)
+            .with_ordering(TaskOrdering::DecreasingUtilization);
+        let mut stats = BatchStats::default();
+        let batch = partition_tasks_with_mode(&tasks, 1, &cfg, BatchMode::Batch, &mut stats);
+        let scalar = partition_tasks_with_mode(
+            &tasks,
+            1,
+            &cfg,
+            BatchMode::Scalar,
+            &mut BatchStats::default(),
+        );
+        assert!(scalar.is_ok());
+        assert_eq!(batch, scalar);
+        // w and y pass the hyperbolic bound; the constrained x and the z
+        // that joins it need the exact test.
+        assert_eq!(stats.lanes_filled[1], 2);
     }
 
     #[test]

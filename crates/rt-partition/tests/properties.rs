@@ -19,6 +19,30 @@ fn arb_taskset() -> impl Strategy<Value = TaskSet> {
     prop::collection::vec(arb_task(), 1..=16).prop_map(TaskSet::new)
 }
 
+/// Constrained-deadline tasks whose periods often tie: half of them draw
+/// from a five-value pool. About two in five keep an implicit deadline, so
+/// the hyperbolic-bound shortcut and the exact kernel both run.
+fn arb_tied_constrained_task() -> impl Strategy<Value = RtTask> {
+    (
+        500u64..=30_000,
+        0usize..10,
+        40_000u64..=500_000,
+        0.3f64..1.5,
+    )
+        .prop_map(|(c, pick, t, d_frac)| {
+            const POOL: [u64; 5] = [40_000, 50_000, 80_000, 100_000, 200_000];
+            let period = if pick < POOL.len() { POOL[pick] } else { t };
+            let c = c.min(period);
+            let deadline = ((period as f64 * d_frac) as u64).clamp(c, period);
+            RtTask::new(
+                Time::from_micros(c),
+                Time::from_micros(period),
+                Time::from_micros(deadline),
+            )
+            .unwrap()
+        })
+}
+
 fn all_configs() -> Vec<PartitionConfig> {
     let mut cfgs = Vec::new();
     for h in [
@@ -98,6 +122,24 @@ proptest! {
                 BatchMode::Scalar,
                 &mut BatchStats::default(),
             );
+            prop_assert_eq!(batch, scalar, "config {:?} diverged", cfg);
+        }
+    }
+
+    #[test]
+    fn batched_partitioner_matches_the_oracle_on_ties_and_constrained_deadlines(
+        tasks in prop::collection::vec(arb_tied_constrained_task(), 1..=20),
+        cores in 1usize..=9
+    ) {
+        // One core is a one-lane dispatch, nine a full dispatch plus a
+        // one-lane remainder; ties leave dirty rows behind and every
+        // re-verified row starts from its warm-start seed.
+        let set = TaskSet::new(tasks);
+        for cfg in all_configs() {
+            let batch = partition_tasks_with_mode(
+                &set, cores, &cfg, BatchMode::Batch, &mut BatchStats::default());
+            let scalar = partition_tasks_with_mode(
+                &set, cores, &cfg, BatchMode::Scalar, &mut BatchStats::default());
             prop_assert_eq!(batch, scalar, "config {:?} diverged", cfg);
         }
     }

@@ -42,8 +42,11 @@ fn bench_sweep_throughput(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 let spec = sweep_spec();
-                let executor = Executor::with_threads(threads);
-                b.iter(|| executor.run(std::hint::black_box(&spec)));
+                b.iter(|| {
+                    SweepSession::new(std::hint::black_box(&spec).clone())
+                        .threads(threads)
+                        .run_buffered()
+                });
             },
         );
     }
@@ -59,9 +62,10 @@ fn bench_streaming_vs_buffered(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("buffered_then_rendered", |b| {
         let spec = sweep_spec();
-        let executor = Executor::with_threads(2);
         b.iter(|| {
-            let result = executor.run(std::hint::black_box(&spec));
+            let result = SweepSession::new(std::hint::black_box(&spec).clone())
+                .threads(2)
+                .run_buffered();
             let jsonl = to_jsonl(&result.outcomes);
             let csv = to_csv(&result.outcomes);
             std::hint::black_box((jsonl.len(), csv.len()))
@@ -69,13 +73,13 @@ fn bench_streaming_vs_buffered(c: &mut Criterion) {
     });
     group.bench_function("streaming_sinks", |b| {
         let spec = sweep_spec();
-        let executor = Executor::with_threads(2);
         b.iter(|| {
             let mut jsonl = JsonlSink::new(Vec::new());
             let mut csv = CsvSink::new(Vec::new(), true);
             let mut tee = rt_dse::TeeSink::new().with(&mut jsonl).with(&mut csv);
-            executor
-                .run_streaming(std::hint::black_box(&spec), &mut tee)
+            SweepSession::new(std::hint::black_box(&spec).clone())
+                .threads(2)
+                .run(&mut tee)
                 .expect("in-memory sinks never fail");
             std::hint::black_box((jsonl.bytes_written(), csv.bytes_written()))
         });
@@ -108,8 +112,11 @@ fn bench_memoized_vs_fresh_generation(c: &mut Criterion) {
                 AllocatorKind::NpHydra,
             ][..n]
                 .to_vec();
-            let executor = Executor::serial();
-            b.iter(|| executor.run(std::hint::black_box(&spec)));
+            b.iter(|| {
+                SweepSession::new(std::hint::black_box(&spec).clone())
+                    .threads(1)
+                    .run_buffered()
+            });
         });
     }
     group.finish();
@@ -144,15 +151,20 @@ fn bench_gate(_c: &mut Criterion) {
     let grid_size = ScenarioGrid::expand(&spec).len();
     let threads = 2usize;
     let obs = SweepObs::enabled();
-    let executor = Executor::with_threads(threads).with_observability(obs.clone());
+    let run = || {
+        SweepSession::new(std::hint::black_box(&spec).clone())
+            .threads(threads)
+            .observability(obs.clone())
+            .run_buffered()
+    };
 
     // Warm-up once (page in, prime allocator), then time whole-sweep
     // repetitions until at least ~0.6 s of work has been measured.
-    let _ = executor.run(std::hint::black_box(&spec));
+    let _ = run();
     let mut evaluated = 0usize;
     let started = Instant::now();
     while started.elapsed() < Duration::from_millis(600) {
-        let result = executor.run(std::hint::black_box(&spec));
+        let result = run();
         evaluated += result.outcomes.len();
     }
     let elapsed = started.elapsed().as_secs_f64();

@@ -74,7 +74,9 @@ fn main() {
     // same aggregates the sweep outputs use.
     let exhaustive_spec = gate_spec(ExploreMode::Exhaustive);
     let exhaustive_evals = ScenarioGrid::expand(&exhaustive_spec).len();
-    let result = Executor::with_threads(2).run(&exhaustive_spec);
+    let result = SweepSession::new(exhaustive_spec.clone())
+        .threads(2)
+        .run_buffered();
     let mut acc = SweepAccumulator::new();
     for outcome in &result.outcomes {
         acc.record(outcome);
@@ -87,16 +89,19 @@ fn main() {
         refine_budget: REFINE_BUDGET,
     }));
     let run = || {
+        let session = SweepSession::new(frontier_spec.clone());
+        let plan = session.plan();
         let mut sink = JsonlSink::new(Vec::new());
-        let (plan, _summary) = FrontierRunner::new(SweepSession::new(frontier_spec.clone()))
-            .explore(&mut sink)
+        session
+            .run_plan(&plan, 0..plan.len(), &mut sink)
             .expect("in-memory sink is infallible");
         (plan, sink.into_inner())
     };
     let (plan, first_bytes) = run();
+    let frontier = plan.frontier().expect("a frontier spec plans a frontier");
     let (_, second_bytes) = run();
     let repeat_identical = first_bytes == second_bytes;
-    let adaptive_evals = plan.probe_evals + plan.len();
+    let adaptive_evals = frontier.probe_evals + plan.len();
 
     // Cliff verification. Frontier streams are the exhaustive grid's
     // positional streams, so the probed acceptance curve is a pointwise
@@ -110,7 +115,7 @@ fn main() {
     let mut brackets_verified = true;
     let mut max_band_steps: usize = 0;
     let mut max_first_crossing_distance: usize = 0;
-    for slice in &plan.slices {
+    for slice in &frontier.slices {
         let utils = exhaustive_spec.utilizations.points(slice.cores);
         let acceptance = slice_acceptance(&reference_rows, slice.cores, slice.allocator, &utils);
         let idx_of = |value: f64| {
@@ -153,9 +158,9 @@ fn main() {
         .int("grid_points_per_slice", GRID_POINTS as u128)
         .int("trials", TRIALS as u128)
         .int("refine_budget", REFINE_BUDGET as u128)
-        .int("slices", plan.slices.len() as u128)
+        .int("slices", frontier.slices.len() as u128)
         .int("exhaustive_evals", exhaustive_evals as u128)
-        .int("probe_evals", plan.probe_evals as u128)
+        .int("probe_evals", frontier.probe_evals as u128)
         .int("emitted_evals", plan.len() as u128)
         .int("adaptive_evals", adaptive_evals as u128)
         .num("eval_ratio", ratio, 2)

@@ -90,9 +90,12 @@ fn bench_detection_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim_kernel_detection_sweep");
     group.sample_size(10);
     let spec = detection_gate_spec();
-    let executor = Executor::with_threads(2);
     group.bench_function("48_scenarios", |b| {
-        b.iter(|| executor.run(std::hint::black_box(&spec)));
+        b.iter(|| {
+            SweepSession::new(std::hint::black_box(&spec).clone())
+                .threads(2)
+                .run_buffered()
+        });
     });
     group.finish();
 }
@@ -142,12 +145,17 @@ fn bench_gate(_c: &mut Criterion) {
     let grid_size = ScenarioGrid::expand(&spec).len();
     let threads = 2usize;
     let obs = SweepObs::enabled();
-    let executor = Executor::with_threads(threads).with_observability(obs.clone());
-    let _ = executor.run(std::hint::black_box(&spec));
+    let run = || {
+        SweepSession::new(std::hint::black_box(&spec).clone())
+            .threads(threads)
+            .observability(obs.clone())
+            .run_buffered()
+    };
+    let _ = run();
     let mut evaluated = 0usize;
     let started = Instant::now();
     while started.elapsed() < Duration::from_millis(600) {
-        evaluated += executor.run(std::hint::black_box(&spec)).outcomes.len();
+        evaluated += run().outcomes.len();
     }
     let detection_scenarios_per_sec = evaluated as f64 / started.elapsed().as_secs_f64();
 

@@ -192,7 +192,7 @@ impl std::error::Error for Fig1Error {}
 /// allocation error if either scheme cannot schedule the case study (does
 /// not happen for the built-in workload on 2–8 cores).
 pub fn run(config: &Fig1Config) -> Result<Fig1Result, Fig1Error> {
-    let result = Executor::parallel().run(&config.spec());
+    let result = SweepSession::new(config.spec()).run_buffered();
     let mut summaries = Vec::new();
     for outcome in &result.outcomes {
         let Some(summary) = summarize(outcome) else {

@@ -100,8 +100,8 @@ pub struct AcceptancePoint {
 /// bounded memory.
 #[must_use]
 pub fn run(config: &Fig2Config) -> Vec<AcceptancePoint> {
-    let summary = Executor::parallel()
-        .run_streaming(&config.spec(), &mut NullSink)
+    let summary = SweepSession::new(config.spec())
+        .run(&mut NullSink)
         .expect("a NullSink never raises I/O errors");
     points_from(&summary.partial.rows())
 }

@@ -102,8 +102,8 @@ pub struct TightnessPoint {
 #[must_use]
 pub fn run(config: &Fig3Config) -> Vec<TightnessPoint> {
     let mut paired = PairedSink::new(AllocatorKind::Hydra, AllocatorKind::Optimal);
-    Executor::parallel()
-        .run_streaming(&config.spec(), &mut paired)
+    SweepSession::new(config.spec())
+        .run(&mut paired)
         .expect("a PairedSink never raises I/O errors");
     paired
         .into_points()

@@ -227,7 +227,6 @@ impl JobPool {
         };
         let mut session = SweepSession::new(request.spec)
             .threads(self.threads_per_job)
-            .batch_mode(request.batch)
             .observability(self.obs.clone());
         if let Some(store) = &self.store {
             session = session.memo_store(Arc::clone(store));
@@ -359,19 +358,13 @@ impl JobPool {
             status.started = Some(started);
         }
         let mut sink = JsonlSink::new(ChunkedWriter::new(BufWriter::new(stream)));
-        // Frontier jobs run the adaptive driver: Phase A probes locate each
-        // slice's acceptance cliff without emitting anything, then the
-        // planned refinement stream arrives on the same JSONL transport —
-        // byte-identical to a CLI frontier run of the same spec. The job's
-        // handle was registered at submit time and FrontierRunner carries it
-        // forward, so cancel keeps working in both phases.
-        let explore = session.spec().explore;
-        let result = match explore {
-            ExploreMode::Frontier(_) => FrontierRunner::new(session)
-                .explore(&mut sink)
-                .map(|(_, summary)| summary),
-            ExploreMode::Exhaustive => session.run(&mut sink),
-        };
+        // The session runs whatever the spec's explore mode plans: a
+        // frontier job's Phase-A probes locate each slice's acceptance cliff
+        // without emitting anything, then its planned stream arrives on the
+        // same JSONL transport — byte-identical to a CLI run of the same
+        // spec. The job's handle was registered at submit time, so cancel
+        // works in both phases.
+        let result = session.run(&mut sink);
         let mut status = record.status.lock().expect("job status poisoned");
         status.elapsed = status.started.map(|t| t.elapsed());
         match result {

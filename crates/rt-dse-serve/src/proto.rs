@@ -6,7 +6,8 @@
 //! validation — so a request and a CLI invocation describing the same sweep
 //! produce **byte-identical** JSONL. Unknown and duplicate fields are
 //! rejected rather than ignored: a typo'd axis name must not silently run
-//! the default sweep.
+//! the default sweep. A spec the engine cannot honour is refused by the
+//! same [`ScenarioSpec::validate`] the CLI applies.
 
 use rt_dse::prelude::*;
 use rt_dse::Time;
@@ -17,7 +18,7 @@ use crate::json::Json;
 /// request-schema table is machine-checked against this list (xtask D006).
 pub const REQUEST_FIELDS: &str = "name, workload, eval, horizon, attacks, cores, util_steps, \
                                   utils, allocators, period_policies, trials, seed, sec_tasks, \
-                                  sample, batch, explore, refine_budget";
+                                  sample, explore, refine_budget";
 
 /// Every job-status field, in render order. The README status-schema table
 /// and the `status_json` render order are both machine-checked against this
@@ -25,15 +26,11 @@ pub const REQUEST_FIELDS: &str = "name, workload, eval, horizon, attacks, cores,
 pub const STATUS_FIELDS: &str = "schema, id, name, state, done, total, elapsed_secs, \
                                  store_hits, store_misses, error";
 
-/// A validated sweep request: the spec plus the engine knobs that ride
-/// along with it.
+/// A validated sweep request.
 #[derive(Debug, Clone)]
 pub struct SweepRequest {
     /// The sweep to run.
     pub spec: ScenarioSpec,
-    /// Kernel mode (`"batch": false` selects the scalar reference kernels;
-    /// output bytes are identical either way).
-    pub batch: BatchMode,
 }
 
 fn want_u64(value: &Json, key: &str) -> Result<Option<u64>, String> {
@@ -87,8 +84,9 @@ fn want_list<T>(
 ///
 /// # Errors
 ///
-/// A human-readable reason: unknown field, wrong type, or a value outside
-/// the same bounds the CLI enforces.
+/// A human-readable reason: unknown field, wrong type, a value outside
+/// the same bounds the CLI enforces, or a spec
+/// [`ScenarioSpec::validate`] refuses.
 pub fn parse_request(doc: &Json) -> Result<SweepRequest, String> {
     let Json::Obj(members) = doc else {
         return Err("the request body must be a JSON object".to_owned());
@@ -206,35 +204,21 @@ pub fn parse_request(doc: &Json) -> Result<SweepRequest, String> {
         other => return Err(format!("unknown explore mode: {other}")),
     };
 
-    let batch = match get("batch") {
-        Json::Null => BatchMode::Batch,
-        v => {
-            if v.as_bool()
-                .ok_or_else(|| "\"batch\" must be a boolean".to_owned())?
-            {
-                BatchMode::Batch
-            } else {
-                BatchMode::Scalar
-            }
-        }
+    let spec = ScenarioSpec {
+        name: want_str(get("name"), "name")?.unwrap_or("sweep").to_owned(),
+        workload,
+        evaluation,
+        cores,
+        utilizations,
+        allocators,
+        period_policies,
+        trials: want_usize(get("trials"), "trials")?.unwrap_or(5),
+        base_seed: want_u64(get("seed"), "seed")?.unwrap_or(2018),
+        expansion,
+        explore,
     };
-
-    Ok(SweepRequest {
-        spec: ScenarioSpec {
-            name: want_str(get("name"), "name")?.unwrap_or("sweep").to_owned(),
-            workload,
-            evaluation,
-            cores,
-            utilizations,
-            allocators,
-            period_policies,
-            trials: want_usize(get("trials"), "trials")?.unwrap_or(5),
-            base_seed: want_u64(get("seed"), "seed")?.unwrap_or(2018),
-            expansion,
-            explore,
-        },
-        batch,
-    })
+    spec.validate()?;
+    Ok(SweepRequest { spec })
 }
 
 #[cfg(test)]
@@ -262,7 +246,6 @@ mod tests {
             req.spec.utilizations,
             UtilizationGrid::NormalizedSteps(13)
         ));
-        assert!(matches!(req.batch, BatchMode::Batch));
         assert_eq!(req.spec.explore, ExploreMode::Exhaustive);
     }
 
@@ -289,14 +272,12 @@ mod tests {
     fn explicit_fields_reach_the_spec() {
         let body = r#"{
             "name": "mini", "cores": [2], "utils": [0.3, 0.6], "trials": 2,
-            "seed": 7, "allocators": ["hydra"], "period_policies": ["fixed"],
-            "batch": false
+            "seed": 7, "allocators": ["hydra"], "period_policies": ["fixed"]
         }"#;
         let req = parse_request(&json::parse(body).expect("valid json")).expect("valid request");
         assert_eq!(req.spec.name, "mini");
         assert_eq!(req.spec.cores, vec![2]);
         assert_eq!(req.spec.base_seed, 7);
-        assert!(matches!(req.batch, BatchMode::Scalar));
         match &req.spec.utilizations {
             UtilizationGrid::Fractions(f) => assert_eq!(f, &vec![0.3, 0.6]),
             other => panic!("expected fractions, got {other:?}"),
@@ -315,6 +296,16 @@ mod tests {
             (r#"{"trials": "many"}"#, "unsigned integer"),
             (r#"{"workload": "quantum"}"#, "unknown workload"),
             (r#"{"explore": "random"}"#, "unknown explore mode"),
+            (r#"{"batch": false}"#, "unknown field"),
+            (r#"{"trials": 0}"#, "trials must be at least 1"),
+            (
+                r#"{"explore": "frontier", "sample": 5}"#,
+                "cannot sample the grid",
+            ),
+            (
+                r#"{"workload": "uav", "explore": "frontier"}"#,
+                "needs a utilization axis",
+            ),
             (
                 r#"{"refine_budget": 4}"#,
                 "only applies to the frontier explore mode",
@@ -350,7 +341,6 @@ mod tests {
             "seed",
             "sec_tasks",
             "sample",
-            "batch",
             "explore",
             "refine_budget",
         ] {

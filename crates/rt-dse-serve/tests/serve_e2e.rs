@@ -109,21 +109,10 @@ fn engine_reference_jsonl(request_body: &str) -> Vec<u8> {
     let doc = json::parse(request_body).expect("request body is valid JSON");
     let request = proto::parse_request(&doc).expect("request is valid");
     let mut sink = JsonlSink::new(Vec::new());
-    let session = SweepSession::new(request.spec)
+    SweepSession::new(request.spec)
         .threads(1)
-        .batch_mode(request.batch);
-    match session.spec().explore {
-        ExploreMode::Frontier(_) => {
-            FrontierRunner::new(session)
-                .explore(&mut sink)
-                .expect("in-memory sink is infallible");
-        }
-        ExploreMode::Exhaustive => {
-            session
-                .run(&mut sink)
-                .expect("in-memory sink is infallible");
-        }
-    }
+        .run(&mut sink)
+        .expect("in-memory sink is infallible");
     sink.into_inner()
 }
 

@@ -446,7 +446,7 @@ impl OutcomeSink for PairedSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::Executor;
+    use crate::api::SweepSession;
     use crate::spec::{ScenarioSpec, UtilizationGrid};
 
     fn spec() -> ScenarioSpec {
@@ -459,7 +459,7 @@ mod tests {
     }
 
     fn sweep() -> Vec<ScenarioOutcome> {
-        Executor::serial().run(&spec()).outcomes
+        SweepSession::new(spec()).threads(1).run_buffered().outcomes
     }
 
     /// Folds `outcomes` through one accumulator in order.
@@ -586,9 +586,7 @@ mod tests {
         // The sink fed by a parallel streaming run sees the outcomes in grid
         // order, exactly like a fold over the buffered serial outcomes.
         let mut sink = PairedSink::new(AllocatorKind::Hydra, AllocatorKind::SingleCore);
-        Executor::with_threads(2)
-            .run_streaming(&spec(), &mut sink)
-            .unwrap();
+        SweepSession::new(spec()).threads(2).run(&mut sink).unwrap();
         // Grid order pairs the two schemes back to back, so no join state
         // lingers once the stream ends.
         assert!(sink.pending.is_empty());
@@ -607,7 +605,7 @@ mod tests {
         spec.allocators = vec![AllocatorKind::Hydra, AllocatorKind::SingleCore];
         spec.period_policies = vec![PeriodPolicy::Fixed, PeriodPolicy::Joint];
         spec.trials = 3;
-        let outcomes = Executor::serial().run(&spec).outcomes;
+        let outcomes = SweepSession::new(spec).threads(1).run_buffered().outcomes;
         // 1 core count × 2 allocators × 2 policies × 1 utilization point.
         let rows = rows_of(&outcomes);
         assert_eq!(rows.len(), 4);

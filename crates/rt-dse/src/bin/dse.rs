@@ -66,7 +66,8 @@ SWEEP OPTIONS:
                           then a refinement budget around each bracket;
                           emits the same record formats over far fewer
                           scenarios and writes a {name}_frontier.csv
-                          Pareto-front artifact). Frontier output is
+                          Pareto-front artifact; needs the synthetic
+                          workload's utilization axis). Frontier output is
                           byte-identical across thread counts, shards and
                           resume, exactly like exhaustive sweeps
                                                             [default: exhaustive]
@@ -74,17 +75,12 @@ SWEEP OPTIONS:
                           around each slice's cliff bracket (half walk
                           outward from the bracket, half low-discrepancy
                           over the grid)                    [default: 8]
-    --trials N            task sets per grid point          [default: 5]
+    --trials N            task sets per grid point, >= 1    [default: 5]
     --seed S              base seed                         [default: 2018]
     --threads N           worker threads (0 = all cores)    [default: 0]
     --serial              force single-threaded execution
-    --no-batch            evaluate partition admission and joint period
-                          refinement with the scalar analysis kernels
-                          instead of the 8-lane batch kernels (the Eq. (1)
-                          filter is scalar in both modes; outputs are
-                          byte-identical either way; this flag exists for
-                          differential testing and performance comparison)
     --sample N            sample at most N points from the full grid
+                          (exhaustive only)
     --sec-tasks LO,HI     override the security task-count range
     --workload KIND       synthetic | uav                   [default: synthetic]
     --eval KIND           allocate | detection              [default: allocate]
@@ -362,7 +358,7 @@ fn build_spec(args: &Args) -> Result<ScenarioSpec, String> {
         other => return Err(format!("unknown explore mode: {other}")),
     };
 
-    Ok(ScenarioSpec {
+    let spec = ScenarioSpec {
         name: args.value_of("--name").unwrap_or("sweep").to_owned(),
         workload,
         evaluation,
@@ -374,7 +370,9 @@ fn build_spec(args: &Args) -> Result<ScenarioSpec, String> {
         base_seed: args.parsed("--seed")?.unwrap_or(2018),
         expansion,
         explore,
-    })
+    };
+    spec.validate()?;
+    Ok(spec)
 }
 
 fn print_summary(rows: &[rt_dse::AggregateRow]) {
@@ -632,11 +630,6 @@ fn run_sweep(args: &Args) -> Result<(), String> {
         progress.is_some() || metrics_out.is_some(),
         trace_out.is_some(),
     );
-    let batch = if args.flag("--no-batch") {
-        BatchMode::Scalar
-    } else {
-        BatchMode::Batch
-    };
     let threads = if args.flag("--serial") {
         1
     } else {
@@ -650,7 +643,6 @@ fn run_sweep(args: &Args) -> Result<(), String> {
     };
     let mut session = SweepSession::new(spec.clone())
         .threads(threads)
-        .batch_mode(batch)
         .observability(obs.clone());
     if let Some(store) = &store {
         session = session.memo_store(Arc::clone(store));
@@ -660,40 +652,27 @@ fn run_sweep(args: &Args) -> Result<(), String> {
     let checkpoint_every: usize = args.parsed("--checkpoint-every")?.unwrap_or(256);
     let stop_after: Option<usize> = args.parsed("--stop-after")?;
 
-    // Frontier mode plans before any output file opens: Phase A bisects
-    // every (cores, allocator, policy) slice toward its acceptance cliff
-    // (memo-warm probes, nothing emitted), and the resulting emission list
+    // The plan is fixed before any output file opens. A frontier spec's
+    // plan runs the Phase-A bisection of every (cores, allocator, policy)
+    // slice (memo-warm probes, nothing emitted), and its emission list
     // replaces the exhaustive grid as the unit of sharding, checkpointing
     // and resume. The plan is a pure function of the spec, so a resumed or
     // sharded run recomputes the identical list.
-    let frontier: Option<(FrontierRunner, FrontierPlan)> = match spec.explore {
-        ExploreMode::Exhaustive => None,
-        ExploreMode::Frontier(config) => {
-            eprintln!(
-                "frontier: bisecting {} slice(s) for the acceptance cliff \
-                 (refine budget {})",
-                spec.cores.len() * spec.allocators.len() * spec.period_policies.len(),
-                config.refine_budget
-            );
-            let runner = FrontierRunner::new(session.clone());
-            let plan = runner.plan();
-            eprintln!(
-                "frontier: {} probe evaluation(s) kept {} of {} grid scenarios for emission",
-                plan.probe_evals,
-                plan.len(),
-                session.grid_len()
-            );
-            Some((runner, plan))
-        }
-    };
-    let (grid_len, plan_points) = match &frontier {
-        Some((_, plan)) => (plan.len(), plan.len()),
-        None => (session.grid_len(), 0),
-    };
-    let range = match &frontier {
-        Some((_, plan)) => plan.shard_scenario_range(shard.0, shard.1),
-        None => shard_range(grid_len, shard.0, shard.1),
-    };
+    let plan = session.plan();
+    let frontier = plan.frontier();
+    if let Some(frontier) = frontier {
+        eprintln!(
+            "frontier: {} probe evaluation(s) over {} slice(s) kept {} of {} grid \
+             scenarios for emission",
+            frontier.probe_evals,
+            frontier.slices.len(),
+            plan.len(),
+            ScenarioGrid::expand(&spec).len()
+        );
+    }
+    // Checkpoints record the frontier plan's length (0 for grids).
+    let plan_points = if frontier.is_some() { plan.len() } else { 0 };
+    let range = plan.shard_range(shard.0, shard.1);
     let fingerprint = sweep_fingerprint(&spec, shard);
 
     let out_dir = PathBuf::from(args.value_of("--out").unwrap_or("results/dse"));
@@ -804,7 +783,7 @@ fn run_sweep(args: &Args) -> Result<(), String> {
          {} cores × {} allocators × {} period policies, {} trials/point",
         spec.name,
         end - start,
-        grid_len,
+        plan.len(),
         if frontier.is_some() { "plan" } else { "grid" },
         start,
         end,
@@ -834,11 +813,9 @@ fn run_sweep(args: &Args) -> Result<(), String> {
         None => Heartbeat::disabled(),
     };
 
-    let summary = match &frontier {
-        Some((runner, plan)) => runner.run(plan, start..end, &mut sink),
-        None => session.range(start..end).run(&mut sink),
-    }
-    .map_err(|e| format!("sweep aborted: {e}"))?;
+    let summary = session
+        .run_plan(&plan, start..end, &mut sink)
+        .map_err(|e| format!("sweep aborted: {e}"))?;
     heartbeat.stop();
 
     let throughput = summary
@@ -931,14 +908,14 @@ fn run_sweep(args: &Args) -> Result<(), String> {
     // point with the slice's cliff bracket and in-slice Pareto flags.
     // Shards follow the CSV convention — only shard 1 writes the header,
     // so concatenating the shard artifacts reproduces the full run's.
-    if let Some((_, plan)) = &frontier {
+    if let Some(frontier) = frontier {
         let frontier_path = out_dir.join(format!("{stem}_frontier.csv"));
         let mut text = String::new();
         if shard.0 == 1 {
             text.push_str(FRONTIER_HEADER);
             text.push('\n');
         }
-        for row in &plan.rows(&sink.agg) {
+        for row in &frontier.rows(&sink.agg) {
             text.push_str(&frontier_row_to_csv(row));
             text.push('\n');
         }

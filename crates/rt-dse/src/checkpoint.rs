@@ -189,7 +189,7 @@ pub fn sweep_fingerprint(spec: &ScenarioSpec, shard: (usize, usize)) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::Executor;
+    use crate::api::SweepSession;
     use crate::spec::{AllocatorKind, UtilizationGrid};
 
     fn small_spec() -> ScenarioSpec {
@@ -202,7 +202,7 @@ mod tests {
     }
 
     fn sample() -> Checkpoint {
-        let result = Executor::serial().run(&small_spec());
+        let result = SweepSession::new(small_spec()).threads(1).run_buffered();
         let mut agg = SweepAccumulator::new();
         for outcome in &result.outcomes {
             agg.record(outcome);

@@ -1,6 +1,6 @@
-//! Scenario evaluation and the streaming sweep executor.
+//! Scenario evaluation and the streaming core behind [`SweepSession`].
 //!
-//! The executor's work item is a **problem group**: the maximal run of
+//! The streaming core's work item is a **problem group**: the maximal run of
 //! consecutive scenarios that share a problem address (cores, utilization,
 //! problem stream). Workers claim whole groups from a shared atomic cursor
 //! and evaluate each in list order (self-balancing: a worker that finishes
@@ -22,7 +22,8 @@
 //! worker from racing more than one window ahead of the slowest scenario.
 //! There is one execution path: the calling thread is worker 0 and only
 //! `threads − 1` helpers are spawned, so a 1-thread run spawns nothing.
-//! [`Executor::run`] is the buffered compatibility wrapper (a [`VecSink`]).
+//! [`SweepSession::run_buffered`] is the buffered wrapper (a
+//! [`crate::VecSink`]).
 //!
 //! Because a scenario's address fully determines its result, any contiguous
 //! index range can be evaluated independently: [`shard_range`] splits a grid
@@ -33,7 +34,7 @@
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use hydra_core::allocator::{Allocator, OptimalAllocator, SingleCoreAllocator};
@@ -49,17 +50,15 @@ use rt_sim::workload::{simulation_tasks_into, SimTask, TaskKind};
 use taskgen::{derive_seed, generate_problem_seeded};
 
 use crate::agg::SweepAccumulator;
-use crate::api::SweepHandle;
-use crate::grid::ScenarioGrid;
+use crate::api::SweepSession;
 use crate::memo::{hash_taskset, AllocationKey, MemoCache, MemoStats, ProblemKey};
 use crate::obs::{
-    SweepObs, WorkerObs, ENGINE_TRACK, PHASE_ALLOCATE, PHASE_GENERATE, PHASE_PARTITION,
-    PHASE_PERIOD_POLICY, PHASE_SIMULATE, PHASE_SINK,
+    WorkerObs, ENGINE_TRACK, PHASE_ALLOCATE, PHASE_GENERATE, PHASE_PARTITION, PHASE_PERIOD_POLICY,
+    PHASE_SIMULATE, PHASE_SINK,
 };
 use crate::scenario::{DetectionStats, Scenario, ScenarioOutcome};
-use crate::sink::{OutcomeSink, VecSink};
+use crate::sink::OutcomeSink;
 use crate::spec::{AllocatorKind, Evaluation, ScenarioSpec, Workload};
-use crate::store::MemoStore;
 
 /// Salt separating the attack-injection seed stream from the task-set
 /// generation stream at the same scenario address.
@@ -86,8 +85,8 @@ pub fn shard_range(grid_len: usize, index: usize, count: usize) -> Range<usize> 
 }
 
 /// The completed execution of one **buffered** sweep (see
-/// [`Executor::run`]). Memory scales with the grid; large sweeps should use
-/// [`Executor::run_streaming`] instead.
+/// [`SweepSession::run_buffered`]). Memory scales with the plan; large
+/// sweeps should stream through [`SweepSession::run`] instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepResult {
     /// Sweep name (copied from the spec).
@@ -120,9 +119,10 @@ impl SweepResult {
 pub struct StreamSummary {
     /// Sweep name (copied from the spec).
     pub name: String,
-    /// Size of the full expanded grid (after sampling).
+    /// Length of the run's plan: the expanded grid (after sampling) of an
+    /// exhaustive spec, or the emission list of a frontier spec.
     pub grid_len: usize,
-    /// The evaluated scenario-index range (clamped to the grid).
+    /// The evaluated scenario-index range (clamped to the plan).
     pub range: Range<usize>,
     /// Merged per-worker partial aggregates over the evaluated range.
     pub partial: SweepAccumulator,
@@ -132,7 +132,7 @@ pub struct StreamSummary {
     pub elapsed: Duration,
     /// Number of worker threads used.
     pub threads: usize,
-    /// Whether the run was cut short by [`SweepHandle::cancel`]. A
+    /// Whether the run was cut short by [`crate::SweepHandle::cancel`]. A
     /// cancelled run still finished its sink cleanly; `range` covers
     /// exactly the outcomes the sink received.
     pub cancelled: bool,
@@ -156,25 +156,6 @@ impl StreamSummary {
 fn throughput(evaluated: usize, elapsed: Duration) -> Option<f64> {
     let secs = elapsed.as_secs_f64();
     (secs > 0.0).then(|| evaluated as f64 / secs)
-}
-
-/// Executes [`ScenarioSpec`]s over a worker pool.
-///
-/// Observability is off by default; [`Executor::with_observability`]
-/// attaches a [`SweepObs`] bundle. Instrumentation never changes what the
-/// sink sees: outputs are byte-identical with observability on or off.
-#[derive(Debug, Clone, Default)]
-pub struct Executor {
-    threads: usize,
-    obs: SweepObs,
-    batch: BatchMode,
-    store: Option<Arc<MemoStore>>,
-    handle: Option<SweepHandle>,
-    /// When set, every run borrows this cache instead of building a private
-    /// one — the frontier driver's probe rounds warm the same memo its
-    /// emission phase later reuses. [`StreamSummary::memo`] then reports the
-    /// cache's *cumulative* counters, not per-run deltas.
-    shared_memo: Option<Arc<MemoCache>>,
 }
 
 /// Per-worker reusable evaluation buffers. Each worker thread owns one
@@ -324,92 +305,7 @@ fn problem_groups(scenarios: &[Scenario]) -> Vec<Range<usize>> {
     groups
 }
 
-impl Executor {
-    /// A single-threaded executor (the reference for determinism tests).
-    #[must_use]
-    pub fn serial() -> Self {
-        Executor {
-            threads: 1,
-            obs: SweepObs::disabled(),
-            batch: BatchMode::Batch,
-            store: None,
-            handle: None,
-            shared_memo: None,
-        }
-    }
-
-    /// An executor sized to the machine's available parallelism.
-    #[must_use]
-    pub fn parallel() -> Self {
-        Executor {
-            threads: 0,
-            ..Executor::serial()
-        }
-    }
-
-    /// An executor with an explicit worker count (`0` = auto).
-    #[must_use]
-    pub fn with_threads(threads: usize) -> Self {
-        Executor {
-            threads,
-            ..Executor::serial()
-        }
-    }
-
-    /// Selects the analysis-kernel mode: [`BatchMode::Batch`] (the default)
-    /// routes the hot partition-admission RTA and joint-refinement math
-    /// through the lane-batched kernels; [`BatchMode::Scalar`] forces the
-    /// reference scalar implementations everywhere. The Eq. (1) feasibility
-    /// filter is scalar in both modes. Outputs are byte-identical either way
-    /// (the determinism tests prove it); the switch exists for differential
-    /// testing and the `dse --no-batch` CLI flag.
-    #[must_use]
-    pub fn with_batch_mode(mut self, batch: BatchMode) -> Self {
-        self.batch = batch;
-        self
-    }
-
-    /// Attaches an observability bundle: metric/span recording flows into
-    /// `obs` during every subsequent run. A disabled bundle (the default)
-    /// keeps every instrumentation site a no-op.
-    #[must_use]
-    pub fn with_observability(mut self, obs: SweepObs) -> Self {
-        self.obs = obs;
-        self
-    }
-
-    /// Backs every run's [`MemoCache`] with a persistent [`MemoStore`]:
-    /// values computed by any past run sharing the store are read instead of
-    /// recomputed, and fresh values are written back. Sweep statistics and
-    /// output bytes are unaffected (see [`MemoCache::backed_by`]).
-    #[must_use]
-    pub fn with_store(mut self, store: Arc<MemoStore>) -> Self {
-        self.store = Some(store);
-        self
-    }
-
-    /// Attaches a [`SweepHandle`] for cooperative cancellation and progress
-    /// snapshots. The handle is armed per run (one handle should observe one
-    /// run); a cancelled run stops promptly after in-flight scenarios,
-    /// finishes the sink, and reports [`StreamSummary::cancelled`].
-    #[must_use]
-    pub fn with_handle(mut self, handle: SweepHandle) -> Self {
-        self.handle = Some(handle);
-        self
-    }
-
-    /// Shares one externally built [`MemoCache`] across every subsequent run
-    /// of this executor instead of creating a fresh cache per run. The
-    /// frontier driver uses this so its bisection probes warm the exact memo
-    /// the emission phase then reads. Takes precedence over
-    /// [`Executor::with_store`] (back the shared cache itself instead).
-    /// [`StreamSummary::memo`] reports the cache's cumulative counters.
-    #[must_use]
-    pub(crate) fn with_shared_memo(mut self, memo: Arc<MemoCache>) -> Self {
-        self.shared_memo = Some(memo);
-        self
-    }
-
+impl SweepSession {
     fn resolve_threads(&self, work_items: usize) -> usize {
         let auto = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
@@ -422,70 +318,21 @@ impl Executor {
         requested.clamp(1, work_items.max(1))
     }
 
-    /// Runs the sweep described by `spec`, buffering every outcome in grid
-    /// order. Memory scales with the grid — the streaming entry points keep
-    /// it bounded instead.
-    #[must_use]
-    pub fn run(&self, spec: &ScenarioSpec) -> SweepResult {
-        let mut sink = VecSink::new();
-        let summary = self
-            .run_streaming(spec, &mut sink)
-            .expect("a VecSink never raises I/O errors");
-        SweepResult {
-            name: summary.name,
-            outcomes: sink.into_outcomes(),
-            memo: summary.memo,
-            elapsed: summary.elapsed,
-            threads: summary.threads,
-        }
-    }
-
-    /// Runs the whole sweep, streaming outcomes to `sink` in grid order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first sink I/O error (the sweep aborts early).
-    pub fn run_streaming(
-        &self,
-        spec: &ScenarioSpec,
-        sink: &mut dyn OutcomeSink,
-    ) -> std::io::Result<StreamSummary> {
-        self.run_streaming_range(spec, 0..usize::MAX, sink)
-    }
-
-    /// Runs the scenarios whose grid indices fall in `range` (clamped to the
-    /// grid; an inverted or out-of-grid range clamps to empty), streaming
-    /// outcomes to `sink` in grid order. Sharded and resumed sweeps are
-    /// range runs: because every scenario derives its inputs from its own
-    /// seed address, concatenating the streams of consecutive ranges is
-    /// byte-identical to one full run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first sink I/O error (the sweep aborts early).
-    pub fn run_streaming_range(
-        &self,
-        spec: &ScenarioSpec,
-        range: Range<usize>,
-        sink: &mut dyn OutcomeSink,
-    ) -> std::io::Result<StreamSummary> {
-        let scenarios = ScenarioGrid::expand(spec).into_scenarios();
-        self.run_scenario_list(spec, &scenarios, range, sink)
-    }
-
-    /// Runs an explicit scenario list — the streaming core every public
-    /// entry point (and the frontier driver, which authors its own lists)
-    /// funnels through. Each [`Scenario::index`] must equal its list
+    /// Streams `range` (clamped) of an explicit scenario list through
+    /// `memo` — the streaming core every plan (and every frontier probe
+    /// round) funnels through. Each [`Scenario::index`] must equal its list
     /// position, or the reorder buffer and sink indices disagree.
+    /// [`StreamSummary::memo`] reports `memo`'s counters, cumulative over
+    /// every run that shared it.
     ///
     /// # Errors
     ///
     /// Propagates the first sink I/O error (the sweep aborts early).
     pub(crate) fn run_scenario_list(
         &self,
-        spec: &ScenarioSpec,
         scenarios: &[Scenario],
         range: Range<usize>,
+        memo: &MemoCache,
         sink: &mut dyn OutcomeSink,
     ) -> std::io::Result<StreamSummary> {
         let grid_len = scenarios.len();
@@ -494,48 +341,28 @@ impl Executor {
         let slice = &scenarios[range.clone()];
         let groups = problem_groups(slice);
         let threads = self.resolve_threads(groups.len());
-        // The memo's hit/miss counters mirror onto the engine track of the
-        // registry (inert when observability is off). A shared cache (the
-        // frontier driver's) is borrowed as-is; otherwise the run builds a
-        // private one, backed by the persistent store when configured.
-        let owned;
-        let memo: &MemoCache = match &self.shared_memo {
-            Some(shared) => shared.as_ref(),
-            None => {
-                let mut built =
-                    MemoCache::with_observability(&self.obs.registry().shard(ENGINE_TRACK));
-                if let Some(store) = &self.store {
-                    built = built.backed_by(Arc::clone(store));
-                }
-                owned = built;
-                &owned
-            }
-        };
-        if let Some(handle) = &self.handle {
-            handle.arm(slice.len());
-        }
+        self.handle.arm(slice.len());
         // lint-ok(D002): elapsed feeds only StreamSummary.elapsed (stderr
         // reporting) — the determinism tests pin that no outcome byte sees it.
         #[allow(clippy::disallowed_methods)]
         let started = Instant::now();
 
-        let partial = self.stream_parallel(spec, slice, &groups, threads, memo, sink)?;
+        let partial = self.stream_parallel(slice, &groups, threads, memo, sink)?;
 
         // A cancelled run delivered a prefix of the range: shrink it so
         // `evaluated()` keeps meaning "outcomes the sink saw". (The partial
         // aggregate of a cancelled parallel run may additionally cover
         // completed-but-undrained outcomes; cancellation is a shutdown path,
         // not a byte-deterministic one.)
-        let cancelled = self.handle.as_ref().is_some_and(SweepHandle::is_cancelled);
+        let cancelled = self.handle.is_cancelled();
         let range = if cancelled {
-            let emitted = self.handle.as_ref().map_or(0, |h| h.progress().done);
-            range.start..(range.start + emitted)
+            range.start..(range.start + self.handle.progress().done)
         } else {
             range
         };
 
         Ok(StreamSummary {
-            name: spec.name.clone(),
+            name: self.spec.name.clone(),
             grid_len,
             range,
             partial,
@@ -557,7 +384,6 @@ impl Executor {
     /// spawns nothing and records each outcome straight into the sink.
     fn stream_parallel(
         &self,
-        spec: &ScenarioSpec,
         slice: &[Scenario],
         groups: &[Range<usize>],
         threads: usize,
@@ -585,8 +411,7 @@ impl Executor {
             .registry()
             .shard(ENGINE_TRACK)
             .gauge("drain.reorder_depth");
-        let handle = self.handle.as_ref();
-        let cancelled = || handle.is_some_and(SweepHandle::is_cancelled);
+        let cancelled = || self.handle.is_cancelled();
 
         let work = |worker_index: usize| -> SweepAccumulator {
             let wobs = self.obs.worker(worker_index);
@@ -608,10 +433,9 @@ impl Executor {
                     }
                     // Backpressure: wait until the drain is within one window
                     // of this index. The worker holding the drain's next
-                    // index never waits, so progress is guaranteed. With a
-                    // cancellable handle the wait is periodically re-armed so
-                    // a cancel delivered while every worker sleeps still
-                    // terminates the pool.
+                    // index never waits, so progress is guaranteed. The wait
+                    // is periodically re-armed so a cancel delivered while
+                    // every worker sleeps still terminates the pool.
                     if i >= seen_next + window {
                         let mut state = drain.lock().expect("drain poisoned");
                         if state.error.is_none() && i >= state.next + window {
@@ -622,14 +446,10 @@ impl Executor {
                             state.waiting += 1;
                             while state.error.is_none() && i >= state.next + window && !cancelled()
                             {
-                                state = if handle.is_some() {
-                                    turnstile
-                                        .wait_timeout(state, Duration::from_millis(25))
-                                        .expect("drain poisoned")
-                                        .0
-                                } else {
-                                    turnstile.wait(state).expect("drain poisoned")
-                                };
+                                state = turnstile
+                                    .wait_timeout(state, Duration::from_millis(25))
+                                    .expect("drain poisoned")
+                                    .0;
                             }
                             state.waiting -= 1;
                             if let Some(t0) = waited {
@@ -648,15 +468,14 @@ impl Executor {
                     // CI.
                     #[allow(clippy::disallowed_methods)]
                     let timed = wobs.metrics_enabled().then(Instant::now);
-                    let outcome = evaluate(spec, &slice[i], memo, &mut scratch, &wobs, self.batch);
+                    let outcome =
+                        evaluate(&self.spec, &slice[i], memo, &mut scratch, &wobs, self.batch);
                     wobs.record_scenario(timed.map(|t| t.elapsed()));
                     local.record(&outcome);
                     let mut state = drain.lock().expect("drain poisoned");
                     let advanced = state.complete(i, outcome, &wobs);
                     seen_next = state.next;
-                    if let Some(h) = handle {
-                        h.set_done(state.next);
-                    }
+                    self.handle.set_done(state.next);
                     reorder_depth.set(state.pending.len() as i64);
                     let failed = state.error.is_some();
                     let wake = (advanced || failed) && state.waiting > 0;
@@ -1037,8 +856,28 @@ fn measure_detection(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{to_csv, to_jsonl, CsvSink, JsonlSink};
+    use crate::grid::ScenarioGrid;
+    use crate::obs::SweepObs;
+    use crate::sink::{to_csv, to_jsonl, CsvSink, JsonlSink, VecSink};
     use crate::spec::{AllocatorKind, ScenarioSpec, UtilizationGrid};
+
+    /// Buffers a whole run of `spec` on `threads` workers.
+    fn run(spec: &ScenarioSpec, threads: usize) -> SweepResult {
+        SweepSession::new(spec.clone())
+            .threads(threads)
+            .run_buffered()
+    }
+
+    /// Streams `range` of the plan of `spec` on `threads` workers.
+    fn run_range(
+        spec: &ScenarioSpec,
+        threads: usize,
+        range: Range<usize>,
+        sink: &mut dyn OutcomeSink,
+    ) -> std::io::Result<StreamSummary> {
+        let session = SweepSession::new(spec.clone()).threads(threads);
+        session.run_plan(&session.plan(), range, sink)
+    }
 
     fn tiny_spec() -> ScenarioSpec {
         let mut spec = ScenarioSpec::synthetic("tiny");
@@ -1052,8 +891,8 @@ mod tests {
     #[test]
     fn serial_and_parallel_agree_exactly() {
         let spec = tiny_spec();
-        let serial = Executor::serial().run(&spec);
-        let parallel = Executor::with_threads(4).run(&spec);
+        let serial = run(&spec, 1);
+        let parallel = run(&spec, 4);
         assert_eq!(serial.outcomes, parallel.outcomes);
         assert_eq!(serial.outcomes.len(), 12);
     }
@@ -1088,7 +927,7 @@ mod tests {
     #[test]
     fn allocator_axis_shares_problem_instances() {
         let spec = tiny_spec();
-        let result = Executor::serial().run(&spec);
+        let result = run(&spec, 1);
         // Problems are generated once per (cores, util, trial) point and
         // reused across both allocators.
         assert_eq!(result.memo.problem_misses, 6);
@@ -1109,7 +948,7 @@ mod tests {
         // the problem group — see memo.rs, "the retired partition family".
         let mut spec = tiny_spec();
         spec.allocators = vec![AllocatorKind::Hydra, AllocatorKind::NpHydra];
-        let result = Executor::serial().run(&spec);
+        let result = run(&spec, 1);
         let feasible_problems = result
             .outcomes
             .iter()
@@ -1151,9 +990,10 @@ mod tests {
         ];
         for threads in [1, 2, 4] {
             let obs = SweepObs::enabled();
-            let result = Executor::with_threads(threads)
-                .with_observability(obs.clone())
-                .run(&spec);
+            let result = SweepSession::new(spec.clone())
+                .threads(threads)
+                .observability(obs.clone())
+                .run_buffered();
             let feasible_problems = result
                 .outcomes
                 .iter()
@@ -1182,9 +1022,10 @@ mod tests {
         spec.allocators = vec![AllocatorKind::Hydra, AllocatorKind::NpHydra];
         spec.trials = 8;
         let obs = SweepObs::enabled();
-        let result = Executor::serial()
-            .with_observability(obs.clone())
-            .run(&spec);
+        let result = SweepSession::new(spec.clone())
+            .threads(1)
+            .observability(obs.clone())
+            .run_buffered();
         let mut failed = 0;
         let mut feasible_problems = 0;
         for pair in result.outcomes.chunks(2) {
@@ -1211,7 +1052,7 @@ mod tests {
         // same schedulability as the pre-refactor engine's, which the
         // determinism tests diff at the byte level).
         let spec = tiny_spec();
-        let result = Executor::serial().run(&spec);
+        let result = run(&spec, 1);
         let mut scheduled = 0usize;
         for outcome in &result.outcomes {
             if outcome.scenario.allocator == AllocatorKind::SingleCore && outcome.schedulable {
@@ -1239,7 +1080,7 @@ mod tests {
             PeriodPolicy::Adapt,
             PeriodPolicy::Joint,
         ];
-        let result = Executor::serial().run(&spec);
+        let result = run(&spec, 1);
         assert_eq!(result.outcomes.len(), 18);
         assert_eq!(result.memo.problem_misses, 6);
         assert_eq!(result.memo.problem_hits, 12);
@@ -1265,7 +1106,7 @@ mod tests {
             PeriodPolicy::Adapt,
             PeriodPolicy::Joint,
         ];
-        let result = Executor::serial().run(&spec);
+        let result = run(&spec, 1);
         for triple in result.outcomes.chunks(3) {
             let [fixed, adapt, joint] = triple else {
                 panic!("policy triples must be adjacent in grid order");
@@ -1319,7 +1160,7 @@ mod tests {
             PeriodPolicy::Adapt,
             PeriodPolicy::Joint,
         ];
-        let result = Executor::serial().run(&spec);
+        let result = run(&spec, 1);
         for triple in result.outcomes.chunks(3) {
             for o in &triple[1..] {
                 assert_eq!(o.cumulative_tightness, triple[0].cumulative_tightness);
@@ -1334,7 +1175,7 @@ mod tests {
     fn low_utilization_synthetic_scenarios_schedule() {
         let mut spec = tiny_spec();
         spec.utilizations = UtilizationGrid::Fractions(vec![0.1]);
-        let result = Executor::serial().run(&spec);
+        let result = run(&spec, 1);
         for outcome in &result.outcomes {
             assert!(outcome.feasible);
             assert!(
@@ -1351,7 +1192,7 @@ mod tests {
     fn detection_scenarios_measure_latencies() {
         let mut spec = ScenarioSpec::uav_detection("uav", 30, 25);
         spec.cores = vec![2];
-        let result = Executor::with_threads(2).run(&spec);
+        let result = run(&spec, 2);
         assert_eq!(result.outcomes.len(), 2);
         for outcome in &result.outcomes {
             assert!(outcome.schedulable);
@@ -1368,7 +1209,7 @@ mod tests {
     fn throughput_is_reported_and_always_finite() {
         let mut spec = tiny_spec();
         spec.trials = 1;
-        let result = Executor::serial().run(&spec);
+        let result = run(&spec, 1);
         assert!(result.scenarios_per_sec().unwrap() > 0.0);
         assert_eq!(result.threads, 1);
         // Regression: an elapsed time below timer resolution used to report
@@ -1383,10 +1224,11 @@ mod tests {
     #[test]
     fn streaming_matches_the_buffered_run_byte_for_byte() {
         let spec = tiny_spec();
-        let buffered = Executor::serial().run(&spec);
+        let buffered = run(&spec, 1);
         let mut jsonl = JsonlSink::new(Vec::new());
-        let summary = Executor::with_threads(4)
-            .run_streaming(&spec, &mut jsonl)
+        let summary = SweepSession::new(spec.clone())
+            .threads(4)
+            .run(&mut jsonl)
             .unwrap();
         assert_eq!(summary.grid_len, buffered.outcomes.len());
         assert_eq!(summary.evaluated(), buffered.outcomes.len());
@@ -1406,7 +1248,7 @@ mod tests {
     #[test]
     fn shard_ranges_tile_the_grid_and_concatenate_exactly() {
         let spec = tiny_spec();
-        let full = Executor::serial().run(&spec);
+        let full = run(&spec, 1);
         let n = full.outcomes.len();
         for count in [1usize, 2, 3, 5] {
             // The ranges tile [0, n) without gaps or overlap.
@@ -1419,13 +1261,9 @@ mod tests {
                 covered = range.end;
                 let mut jsonl = JsonlSink::new(Vec::new());
                 let mut csv = CsvSink::new(Vec::new(), index == 1);
-                let summary = Executor::with_threads(2)
-                    .run_streaming_range(&spec, range.clone(), &mut jsonl)
-                    .unwrap();
+                let summary = run_range(&spec, 2, range.clone(), &mut jsonl).unwrap();
                 assert_eq!(summary.range, range);
-                Executor::serial()
-                    .run_streaming_range(&spec, range, &mut csv)
-                    .unwrap();
+                run_range(&spec, 1, range, &mut csv).unwrap();
                 jsonl_parts.extend(jsonl.into_inner());
                 csv_parts.extend(csv.into_inner());
             }
@@ -1456,9 +1294,10 @@ mod tests {
             }
         }
         let spec = tiny_spec();
-        for executor in [Executor::serial(), Executor::with_threads(3)] {
-            let err = executor
-                .run_streaming(&spec, &mut FailAfter(2))
+        for threads in [1, 3] {
+            let err = SweepSession::new(spec.clone())
+                .threads(threads)
+                .run(&mut FailAfter(2))
                 .expect_err("the sink error must propagate");
             assert_eq!(err.to_string(), "sink full");
         }
@@ -1470,9 +1309,7 @@ mod tests {
         #[allow(clippy::reversed_empty_ranges)]
         for range in [100..200, 10..5, 3..3] {
             let mut sink = VecSink::new();
-            let summary = Executor::serial()
-                .run_streaming_range(&spec, range, &mut sink)
-                .unwrap();
+            let summary = run_range(&spec, 1, range, &mut sink).unwrap();
             assert_eq!(summary.evaluated(), 0);
             assert!(summary.partial.is_empty());
             assert!(sink.into_outcomes().is_empty());

@@ -24,13 +24,18 @@
 //!    base-2 low-discrepancy samples over the rest of the axis. The union
 //!    of probed and refinement points becomes one flat scenario list —
 //!    slice-major, utilizations ascending within each slice, trials
-//!    innermost — streamed through the ordinary executor with full
+//!    innermost — streamed through the ordinary streaming core with full
 //!    parallelism, so the existing sink/checkpoint/shard machinery applies
 //!    unchanged.
 //!
+//! A frontier spec runs like any other: [`SweepSession::plan`] runs Phase A
+//! and returns the Phase-B list as a [`crate::SweepPlan`] (whose
+//! [`crate::SweepPlan::frontier`] exposes the brackets), and
+//! [`SweepSession::run_plan`] / [`SweepSession::run`] stream it.
+//!
 //! # Determinism
 //!
-//! Every probe round runs through the deterministic executor, so its
+//! Every probe round runs through the deterministic streaming core, so its
 //! acceptance ratios — and therefore the bisection decisions, the
 //! refinement plan and all emitted bytes — are independent of thread count.
 //! Problem streams are the **positional** ones the exhaustive grid assigns
@@ -48,7 +53,7 @@
 //!
 //! The plan always covers *all* slices, so scenario indices are absolute;
 //! a shard runs the contiguous scenario range of its slice subset
-//! ([`FrontierPlan::shard_scenario_range`]) and shard outputs concatenate
+//! ([`crate::SweepPlan::shard_range`]) and shard outputs concatenate
 //! byte-identically, exactly like exhaustive shards. Resume re-derives the
 //! plan (Phase A replays against the warm memo store) and continues Phase B
 //! from the checkpointed index; the checkpoint's `plan_points` header pins
@@ -56,19 +61,14 @@
 
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::Arc;
-use std::time::Duration;
-
-use rt_core::batch::BatchMode;
 
 use crate::agg::SweepAccumulator;
-use crate::api::{SweepHandle, SweepSession};
-use crate::exec::{shard_range, Executor, StreamSummary};
+use crate::api::SweepSession;
+use crate::exec::{shard_range, StreamSummary};
 use crate::memo::MemoCache;
-use crate::obs::{SweepObs, ENGINE_TRACK};
 use crate::scenario::Scenario;
 use crate::sink::{OutcomeSink, VecSink};
-use crate::spec::{AllocatorKind, ExploreMode, FrontierConfig, PeriodPolicy, ScenarioSpec};
+use crate::spec::{AllocatorKind, ExploreMode, FrontierConfig, PeriodPolicy};
 
 /// The acceptance ratio the bisection hunts the crossing of.
 const CLIFF_THRESHOLD: f64 = 0.5;
@@ -170,7 +170,7 @@ pub struct FrontierPlan {
     pub slices: Vec<FrontierSlice>,
     /// The flat emission list: slice-major, utilizations ascending within a
     /// slice, trials innermost. Every [`Scenario::index`] equals its
-    /// position, so the list feeds the executor's streaming core directly.
+    /// position, so the list feeds the streaming core directly.
     pub scenarios: Vec<Scenario>,
     /// Trials per utilization point (copied from the spec; the emission
     /// granularity checkpoints must align to).
@@ -203,8 +203,7 @@ impl FrontierPlan {
     /// # Panics
     ///
     /// Panics unless `1 <= index <= count` (as [`shard_range`]).
-    #[must_use]
-    pub fn shard_scenario_range(&self, index: usize, count: usize) -> Range<usize> {
+    pub(crate) fn shard_scenario_range(&self, index: usize, count: usize) -> Range<usize> {
         let slices = shard_range(self.slices.len(), index, count);
         let offset = |slice_idx: usize| -> usize {
             self.slices[..slice_idx]
@@ -339,272 +338,214 @@ impl SliceSearch {
     }
 }
 
-/// The frontier-mode driver: wraps one [`SweepSession`]'s configuration,
-/// owns the memo the two phases share, and exposes
-/// [`FrontierRunner::plan`] (Phase A) plus [`FrontierRunner::run`]
-/// (Phase B). The session's `range` builder is ignored — frontier ranges
-/// are plan-relative ([`FrontierPlan::shard_scenario_range`]).
+/// A forward to [`SweepSession`] for frontier specs, kept for the
+/// `perfbench` harness: [`FrontierRunner::plan`] is the frontier half of
+/// [`SweepSession::plan`] and [`FrontierRunner::explore`] is
+/// [`SweepSession::run`] that also returns the plan.
 #[derive(Debug)]
 pub struct FrontierRunner {
-    spec: ScenarioSpec,
-    config: FrontierConfig,
-    threads: usize,
-    batch: BatchMode,
-    obs: SweepObs,
-    handle: SweepHandle,
-    /// Shared by every probe round and the emission phase, so Phase A warms
-    /// exactly the entries Phase B reads. Cumulative counters: a summary's
-    /// [`StreamSummary::memo`] covers everything up to that point.
-    memo: Arc<MemoCache>,
+    session: SweepSession,
 }
 
 impl FrontierRunner {
-    /// Builds the driver from a configured session. The spec's
-    /// [`ExploreMode::Frontier`] config applies; a session still set to
-    /// [`ExploreMode::Exhaustive`] gets the default [`FrontierConfig`].
+    /// Wraps a configured session. A session still set to
+    /// [`ExploreMode::Exhaustive`] explores with the default
+    /// [`FrontierConfig`].
     #[must_use]
-    pub fn new(session: SweepSession) -> Self {
-        let config = match session.spec.explore {
-            ExploreMode::Frontier(config) => config,
-            ExploreMode::Exhaustive => FrontierConfig::default(),
-        };
-        let mut memo = MemoCache::with_observability(&session.obs.registry().shard(ENGINE_TRACK));
-        if let Some(store) = &session.store {
-            memo = memo.backed_by(Arc::clone(store));
+    pub fn new(mut session: SweepSession) -> Self {
+        if session.spec.explore == ExploreMode::Exhaustive {
+            session.spec.explore = ExploreMode::Frontier(FrontierConfig::default());
         }
-        FrontierRunner {
-            spec: session.spec,
-            config,
-            threads: session.threads,
-            batch: session.batch,
-            obs: session.obs,
-            handle: session.handle,
-            memo: Arc::new(memo),
-        }
+        FrontierRunner { session }
     }
 
-    /// The spec this driver explores.
-    #[must_use]
-    pub fn spec(&self) -> &ScenarioSpec {
-        &self.spec
-    }
-
-    /// The cancellation/progress handle (shared with the session it was
-    /// built from). Progress totals reset at each probe round and again at
-    /// Phase B — `total` only becomes stable once emission starts.
-    #[must_use]
-    pub fn handle(&self) -> SweepHandle {
-        self.handle.clone()
-    }
-
-    fn executor(&self) -> Executor {
-        Executor::with_threads(self.threads)
-            .with_batch_mode(self.batch)
-            .with_observability(self.obs.clone())
-            .with_handle(self.handle.clone())
-            .with_shared_memo(Arc::clone(&self.memo))
-    }
-
-    /// Phase A: bisects every slice's acceptance cliff and derives the
-    /// refinement plan. Deterministic for a fixed spec — independent of
-    /// thread count — because every probe round runs through the
-    /// deterministic executor and every later decision is a pure function
-    /// of committed round results. Cancellation marks the returned plan
-    /// [`FrontierPlan::cancelled`]; such a plan must not be emitted.
+    /// Phase A: the session's frontier plan (see [`SweepSession::plan`]).
     #[must_use]
     pub fn plan(&self) -> FrontierPlan {
-        let trials = self.spec.trials;
-        let mut searches: Vec<SliceSearch> = Vec::new();
-        let mut stream_base = 0u64;
-        for &cores in &self.spec.cores {
-            let utils = self.spec.utilizations.points(cores);
-            for &allocator in &self.spec.allocators {
-                for &policy in &self.spec.period_policies {
-                    searches.push(SliceSearch {
-                        cores,
-                        allocator,
-                        policy,
-                        utils: utils.clone(),
-                        stream_base,
-                        probed: Vec::new(),
-                        lo: None,
-                        hi: None,
-                        resolved: false,
-                    });
-                }
-            }
-            // The exhaustive grid numbers one stream per (util, trial)
-            // across core counts in order; the next block starts past ours.
-            stream_base += utils.len() as u64 * trials.max(1) as u64;
-        }
-
-        let mut probe_evals = 0;
-        let mut cancelled = false;
-        if trials > 0 {
-            // Round 0: both endpoints of every non-empty slice.
-            let mut requests: Vec<(usize, usize)> = Vec::new();
-            for (s, search) in searches.iter().enumerate() {
-                match search.utils.len() {
-                    0 => {}
-                    1 => requests.push((s, 0)),
-                    n => requests.extend([(s, 0), (s, n - 1)]),
-                }
-            }
-            loop {
-                if requests.is_empty() {
-                    break;
-                }
-                probe_evals += requests.len() * trials;
-                let Some(ratios) = self.probe(&searches, &requests, trials) else {
-                    cancelled = true;
-                    break;
-                };
-                for (&(s, index), &acceptance) in requests.iter().zip(&ratios) {
-                    searches[s].commit(index, acceptance);
-                }
-                // Next round: the bracket midpoints of unresolved slices.
-                requests = searches
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(s, search)| search.midpoint().map(|mid| (s, mid)))
-                    .collect();
-            }
-        }
-
-        let mut slices = Vec::with_capacity(searches.len());
-        let mut scenarios = Vec::new();
-        for search in &searches {
-            let indices = emission_indices(search, self.config.refine_budget);
-            let points: Vec<f64> = indices.iter().map(|&i| search.utils[i]).collect();
-            for &i in &indices {
-                for trial in 0..trials {
-                    scenarios.push(Scenario {
-                        index: scenarios.len(),
-                        cores: search.cores,
-                        utilization: Some(search.utils[i]),
-                        allocator: search.allocator,
-                        policy: search.policy,
-                        trial,
-                        problem_stream: search.stream(i, trial, trials),
-                    });
-                }
-            }
-            slices.push(FrontierSlice {
-                cores: search.cores,
-                allocator: search.allocator,
-                policy: search.policy,
-                grid_points: search.utils.len(),
-                probed: search.probed.len(),
-                points,
-                cliff_lo: search.lo.map(|i| search.utils[i]),
-                cliff_hi: search.hi.map(|i| search.utils[i]),
-            });
-        }
-        FrontierPlan {
-            slices,
-            scenarios,
-            trials,
-            probe_evals,
-            cancelled,
-        }
+        self.session
+            .plan()
+            .into_frontier()
+            .expect("FrontierRunner::new sets a frontier explore mode")
     }
 
-    /// Evaluates one probe round and returns each request's acceptance
-    /// ratio, or `None` when the round was cancelled mid-flight (partial
-    /// ratios must never feed the bisection).
-    fn probe(
-        &self,
-        searches: &[SliceSearch],
-        requests: &[(usize, usize)],
-        trials: usize,
-    ) -> Option<Vec<f64>> {
-        let mut scenarios = Vec::with_capacity(requests.len() * trials);
-        for &(s, index) in requests {
-            let search = &searches[s];
-            let util = search.utils[index];
-            for trial in 0..trials {
-                scenarios.push(Scenario {
-                    index: scenarios.len(),
-                    cores: search.cores,
-                    utilization: Some(util),
-                    allocator: search.allocator,
-                    policy: search.policy,
-                    trial,
-                    problem_stream: search.stream(index, trial, trials),
-                });
-            }
-        }
-        let mut sink = VecSink::new();
-        let summary = self
-            .executor()
-            .run_scenario_list(&self.spec, &scenarios, 0..scenarios.len(), &mut sink)
-            .expect("a VecSink never raises I/O errors");
-        if summary.cancelled {
-            return None;
-        }
-        let outcomes = sink.into_outcomes();
-        Some(
-            outcomes
-                .chunks(trials)
-                .map(|chunk| {
-                    let feasible = chunk.iter().filter(|o| o.feasible).count();
-                    let scheduled = chunk.iter().filter(|o| o.schedulable).count();
-                    if feasible == 0 {
-                        0.0
-                    } else {
-                        scheduled as f64 / feasible as f64
-                    }
-                })
-                .collect(),
-        )
-    }
-
-    /// Phase B: streams the plan's scenarios in `range` (clamped) into
-    /// `sink` in plan order with full parallelism — the shard/resume entry
-    /// point. [`StreamSummary::memo`] reports the shared memo's cumulative
-    /// counters (probe rounds included).
+    /// Phase A, then Phase B over the whole plan (see
+    /// [`SweepSession::run`]). A cancellation during Phase A returns the
+    /// cancelled plan and a cancelled summary with nothing emitted.
     ///
     /// # Errors
     ///
-    /// Propagates the first sink I/O error (the run aborts early).
-    pub fn run(
-        &self,
-        plan: &FrontierPlan,
-        range: Range<usize>,
-        sink: &mut dyn OutcomeSink,
-    ) -> std::io::Result<StreamSummary> {
-        self.executor()
-            .run_scenario_list(&self.spec, &plan.scenarios, range, sink)
-    }
-
-    /// Convenience: Phase A then the full Phase B. A cancellation during
-    /// Phase A returns the cancelled plan with an empty summary (nothing
-    /// was emitted).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first sink I/O error from the emission phase.
+    /// As [`SweepSession::run_plan`].
     pub fn explore(
         &self,
         sink: &mut dyn OutcomeSink,
     ) -> std::io::Result<(FrontierPlan, StreamSummary)> {
-        let plan = self.plan();
-        if plan.cancelled {
-            let summary = StreamSummary {
-                name: self.spec.name.clone(),
-                grid_len: plan.len(),
-                range: 0..0,
-                partial: SweepAccumulator::new(),
-                memo: self.memo.stats(),
-                elapsed: Duration::ZERO,
-                threads: self.threads.max(1),
-                cancelled: true,
-            };
-            return Ok((plan, summary));
-        }
-        let summary = self.run(&plan, 0..plan.len(), sink)?;
+        let plan = self.session.plan();
+        let summary = self.session.run_plan(&plan, 0..plan.len(), sink)?;
+        let plan = plan
+            .into_frontier()
+            .expect("FrontierRunner::new sets a frontier explore mode");
         Ok((plan, summary))
     }
+}
+
+/// Phase A: bisects every slice's acceptance cliff on `session`'s threads
+/// and derives the refinement plan. Every probe round reads and warms
+/// `memo`, which the emission phase then reuses. Deterministic for a fixed
+/// spec — independent of thread count — because every probe round runs
+/// through the deterministic streaming core and every later decision is a
+/// pure function of committed round results. Cancellation marks the
+/// returned plan [`FrontierPlan::cancelled`]; such a plan must not be
+/// emitted.
+pub(crate) fn plan(
+    session: &SweepSession,
+    config: FrontierConfig,
+    memo: &MemoCache,
+) -> FrontierPlan {
+    let spec = &session.spec;
+    let trials = spec.trials;
+    let mut searches: Vec<SliceSearch> = Vec::new();
+    let mut stream_base = 0u64;
+    for &cores in &spec.cores {
+        let utils = spec.utilizations.points(cores);
+        for &allocator in &spec.allocators {
+            for &policy in &spec.period_policies {
+                searches.push(SliceSearch {
+                    cores,
+                    allocator,
+                    policy,
+                    utils: utils.clone(),
+                    stream_base,
+                    probed: Vec::new(),
+                    lo: None,
+                    hi: None,
+                    resolved: false,
+                });
+            }
+        }
+        // The exhaustive grid numbers one stream per (util, trial)
+        // across core counts in order; the next block starts past ours.
+        stream_base += utils.len() as u64 * trials.max(1) as u64;
+    }
+
+    let mut probe_evals = 0;
+    let mut cancelled = false;
+    if trials > 0 {
+        // Round 0: both endpoints of every non-empty slice.
+        let mut requests: Vec<(usize, usize)> = Vec::new();
+        for (s, search) in searches.iter().enumerate() {
+            match search.utils.len() {
+                0 => {}
+                1 => requests.push((s, 0)),
+                n => requests.extend([(s, 0), (s, n - 1)]),
+            }
+        }
+        loop {
+            if requests.is_empty() {
+                break;
+            }
+            probe_evals += requests.len() * trials;
+            let Some(ratios) = probe(session, memo, &searches, &requests, trials) else {
+                cancelled = true;
+                break;
+            };
+            for (&(s, index), &acceptance) in requests.iter().zip(&ratios) {
+                searches[s].commit(index, acceptance);
+            }
+            // Next round: the bracket midpoints of unresolved slices.
+            requests = searches
+                .iter()
+                .enumerate()
+                .filter_map(|(s, search)| search.midpoint().map(|mid| (s, mid)))
+                .collect();
+        }
+    }
+
+    let mut slices = Vec::with_capacity(searches.len());
+    let mut scenarios = Vec::new();
+    for search in &searches {
+        let indices = emission_indices(search, config.refine_budget);
+        let points: Vec<f64> = indices.iter().map(|&i| search.utils[i]).collect();
+        for &i in &indices {
+            for trial in 0..trials {
+                scenarios.push(Scenario {
+                    index: scenarios.len(),
+                    cores: search.cores,
+                    utilization: Some(search.utils[i]),
+                    allocator: search.allocator,
+                    policy: search.policy,
+                    trial,
+                    problem_stream: search.stream(i, trial, trials),
+                });
+            }
+        }
+        slices.push(FrontierSlice {
+            cores: search.cores,
+            allocator: search.allocator,
+            policy: search.policy,
+            grid_points: search.utils.len(),
+            probed: search.probed.len(),
+            points,
+            cliff_lo: search.lo.map(|i| search.utils[i]),
+            cliff_hi: search.hi.map(|i| search.utils[i]),
+        });
+    }
+    FrontierPlan {
+        slices,
+        scenarios,
+        trials,
+        probe_evals,
+        cancelled,
+    }
+}
+
+/// Evaluates one probe round through `memo` and returns each request's
+/// acceptance ratio, or `None` when the round was cancelled mid-flight
+/// (partial ratios must never feed the bisection).
+fn probe(
+    session: &SweepSession,
+    memo: &MemoCache,
+    searches: &[SliceSearch],
+    requests: &[(usize, usize)],
+    trials: usize,
+) -> Option<Vec<f64>> {
+    let mut scenarios = Vec::with_capacity(requests.len() * trials);
+    for &(s, index) in requests {
+        let search = &searches[s];
+        let util = search.utils[index];
+        for trial in 0..trials {
+            scenarios.push(Scenario {
+                index: scenarios.len(),
+                cores: search.cores,
+                utilization: Some(util),
+                allocator: search.allocator,
+                policy: search.policy,
+                trial,
+                problem_stream: search.stream(index, trial, trials),
+            });
+        }
+    }
+    let mut sink = VecSink::new();
+    let summary = session
+        .run_scenario_list(&scenarios, 0..scenarios.len(), memo, &mut sink)
+        .expect("a VecSink never raises I/O errors");
+    if summary.cancelled {
+        return None;
+    }
+    let outcomes = sink.into_outcomes();
+    Some(
+        outcomes
+            .chunks(trials)
+            .map(|chunk| {
+                let feasible = chunk.iter().filter(|o| o.feasible).count();
+                let scheduled = chunk.iter().filter(|o| o.schedulable).count();
+                if feasible == 0 {
+                    0.0
+                } else {
+                    scheduled as f64 / feasible as f64
+                }
+            })
+            .collect(),
+    )
 }
 
 /// The emission indices of one finished slice search: the probed indices,
@@ -687,7 +628,7 @@ fn emission_indices(search: &SliceSearch, budget: usize) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::sink::{CsvSink, JsonlSink};
-    use crate::spec::UtilizationGrid;
+    use crate::spec::{ScenarioSpec, UtilizationGrid};
 
     fn frontier_spec() -> ScenarioSpec {
         let mut spec = ScenarioSpec::synthetic("frontier-test");
@@ -703,23 +644,32 @@ mod tests {
         spec
     }
 
-    fn runner(threads: usize) -> FrontierRunner {
-        FrontierRunner::new(SweepSession::new(frontier_spec()).threads(threads))
+    fn session(threads: usize) -> SweepSession {
+        SweepSession::new(frontier_spec()).threads(threads)
+    }
+
+    /// The frontier search a session over `spec` plans on `threads`.
+    fn frontier_plan(spec: ScenarioSpec, threads: usize) -> FrontierPlan {
+        SweepSession::new(spec)
+            .threads(threads)
+            .plan()
+            .into_frontier()
+            .expect("a frontier spec plans a frontier")
     }
 
     #[test]
     fn plans_are_identical_across_thread_counts() {
-        let reference = runner(1).plan();
+        let reference = frontier_plan(frontier_spec(), 1);
         assert!(!reference.cancelled);
         assert!(!reference.is_empty());
         for threads in [2, 4] {
-            assert_eq!(runner(threads).plan(), reference);
+            assert_eq!(frontier_plan(frontier_spec(), threads), reference);
         }
     }
 
     #[test]
     fn bisection_brackets_are_adjacent_grid_steps() {
-        let plan = runner(1).plan();
+        let plan = frontier_plan(frontier_spec(), 1);
         assert_eq!(plan.slices.len(), 2);
         let utils = frontier_spec().utilizations.points(2);
         for slice in &plan.slices {
@@ -738,52 +688,51 @@ mod tests {
 
     #[test]
     fn emission_is_byte_identical_across_thread_counts() {
-        let reference_plan = runner(1).plan();
-        let mut reference = JsonlSink::new(Vec::new());
-        runner(1)
-            .run(&reference_plan, 0..reference_plan.len(), &mut reference)
-            .unwrap();
-        let reference = reference.into_inner();
+        let emit = |threads: usize| {
+            let session = session(threads);
+            let plan = session.plan();
+            let mut sink = JsonlSink::new(Vec::new());
+            session.run_plan(&plan, 0..plan.len(), &mut sink).unwrap();
+            sink.into_inner()
+        };
+        let reference = emit(1);
         assert!(!reference.is_empty());
         for threads in [2, 4] {
-            let r = runner(threads);
-            let plan = r.plan();
-            let mut sink = JsonlSink::new(Vec::new());
-            r.run(&plan, 0..plan.len(), &mut sink).unwrap();
-            assert_eq!(sink.into_inner(), reference, "threads={threads}");
+            assert_eq!(emit(threads), reference, "threads={threads}");
         }
     }
 
     #[test]
     fn slice_shards_concatenate_to_the_full_run() {
-        let r = runner(2);
-        let plan = r.plan();
+        let session = session(2);
+        let plan = session.plan();
         let mut full_csv = CsvSink::new(Vec::new(), true);
-        r.run(&plan, 0..plan.len(), &mut full_csv).unwrap();
+        session
+            .run_plan(&plan, 0..plan.len(), &mut full_csv)
+            .unwrap();
         let full = full_csv.into_inner();
         let mut joined = Vec::new();
         for shard in 1..=2 {
-            let range = plan.shard_scenario_range(shard, 2);
+            let range = plan.shard_range(shard, 2);
             let mut sink = CsvSink::new(Vec::new(), shard == 1);
-            r.run(&plan, range, &mut sink).unwrap();
+            session.run_plan(&plan, range, &mut sink).unwrap();
             joined.extend_from_slice(&sink.into_inner());
         }
         assert_eq!(joined, full);
         // The shard split is a partition of the scenario list.
-        assert_eq!(plan.shard_scenario_range(1, 2).start, 0);
-        assert_eq!(
-            plan.shard_scenario_range(1, 2).end,
-            plan.shard_scenario_range(2, 2).start
-        );
-        assert_eq!(plan.shard_scenario_range(2, 2).end, plan.len());
+        assert_eq!(plan.shard_range(1, 2).start, 0);
+        assert_eq!(plan.shard_range(1, 2).end, plan.shard_range(2, 2).start);
+        assert_eq!(plan.shard_range(2, 2).end, plan.len());
     }
 
     #[test]
     fn frontier_rows_carry_cliffs_and_a_nonempty_pareto_front() {
-        let r = runner(2);
+        let session = session(2);
+        let plan = session.plan();
         let mut sink = VecSink::new();
-        let (plan, summary) = r.explore(&mut sink).unwrap();
+        let summary = session.run_plan(&plan, 0..plan.len(), &mut sink).unwrap();
         assert!(!summary.cancelled);
+        let plan = plan.frontier().expect("a frontier spec plans a frontier");
         let rows = plan.rows(&summary.partial);
         assert_eq!(
             rows.len(),
@@ -820,7 +769,7 @@ mod tests {
         // problem stream the exhaustive grid assigns to the same
         // (cores, utilization, trial, allocator, policy) point, so frontier
         // runs sample the very curve an exhaustive sweep measures.
-        let plan = runner(1).plan();
+        let plan = frontier_plan(frontier_spec(), 1);
         let grid = crate::ScenarioGrid::expand(&frontier_spec());
         let exhaustive: std::collections::BTreeMap<_, u64> = grid
             .scenarios()
@@ -894,14 +843,14 @@ mod tests {
         let mut spec = frontier_spec();
         spec.utilizations = UtilizationGrid::Fractions(vec![0.2]);
         spec.allocators = vec![AllocatorKind::Hydra];
-        let plan = FrontierRunner::new(SweepSession::new(spec).threads(1)).plan();
+        let plan = frontier_plan(spec, 1);
         assert_eq!(plan.slices.len(), 1);
         assert_eq!(plan.slices[0].points.len(), 1);
         assert!(plan.slices[0].cliff_lo.is_some() ^ plan.slices[0].cliff_hi.is_some());
         // No utilization axis: nothing to search, nothing to emit.
         let mut fixed = frontier_spec();
         fixed.utilizations = UtilizationGrid::NotApplicable;
-        let plan = FrontierRunner::new(SweepSession::new(fixed).threads(1)).plan();
+        let plan = frontier_plan(fixed, 1);
         assert!(plan.is_empty());
         assert!(plan.slices.iter().all(|s| s.points.is_empty()));
     }

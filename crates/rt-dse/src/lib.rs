@@ -11,27 +11,30 @@
 //! * [`ScenarioGrid`](grid::ScenarioGrid) — cartesian or sampled expansion
 //!   into concrete [`Scenario`](scenario::Scenario) points with
 //!   deterministic per-point seed addresses,
-//! * [`Executor`](exec::Executor) — a self-balancing worker pool (the
+//! * [`SweepSession`](api::SweepSession) — the one run surface: it plans
+//!   what the spec's explore mode emits ([`SweepPlan`](api::SweepPlan)) and
+//!   streams any range of that plan on a self-balancing worker pool (the
 //!   calling thread plus scoped helpers, each claiming whole problem groups
 //!   — every allocator × policy variant of one task set — from a shared
 //!   cursor) whose results and memo work counters are independent of
-//!   thread count and evaluation order; the streaming entry points feed an
-//!   [`OutcomeSink`](sink::OutcomeSink) in grid order through a reorder
+//!   thread count and evaluation order; outcomes feed an
+//!   [`OutcomeSink`](sink::OutcomeSink) in plan order through a reorder
 //!   buffer, so memory stays O(threads + reorder window) instead of O(grid),
 //! * [`MemoCache`](memo::MemoCache) — cross-scenario caching of generated
 //!   problems, Eq. (1) feasibility verdicts and allocator runs, so the
 //!   allocator/policy axes never regenerate or re-solve the same point,
-//! * [`FrontierRunner`](frontier::FrontierRunner) — the adaptive
-//!   exploration mode: per-slice bisection for the acceptance cliff plus a
-//!   deterministic refinement plan, replacing exhaustive utilization grids,
+//! * [`frontier`] — the adaptive explore mode a session runs for
+//!   [`ExploreMode::Frontier`](spec::ExploreMode::Frontier) specs:
+//!   per-slice bisection for the acceptance cliff plus a deterministic
+//!   refinement plan, replacing exhaustive utilization grids,
 //! * [`SweepAccumulator`](agg::SweepAccumulator) /
 //!   [`PairedSink`](agg::PairedSink) — online acceptance-ratio and tightness
 //!   summaries (mean / p50 / p99) plus the paired HYDRA-vs-Optimal gap of
 //!   Figure 3, built from per-worker partials merged at the end — no
 //!   retained outcome vector,
 //! * [`sink`] — byte-deterministic streaming JSONL / CSV / summary sinks,
-//! * [`shard_range`](exec::shard_range) /
-//!   [`Checkpoint`](checkpoint::Checkpoint) — contiguous grid shards and
+//! * [`SweepPlan::shard_range`](api::SweepPlan::shard_range) /
+//!   [`Checkpoint`](checkpoint::Checkpoint) — contiguous plan shards and
 //!   killed-run resume whose concatenated outputs are byte-identical to a
 //!   single full run (every scenario owns a deterministic seed address).
 //!
@@ -76,14 +79,13 @@ pub mod spec;
 pub mod store;
 
 pub use agg::{AggregateRow, PairedPoint, PairedSink, SweepAccumulator};
-pub use api::{Progress, SweepHandle, SweepSession};
+pub use api::{Progress, SweepHandle, SweepPlan, SweepSession};
 pub use checkpoint::{sweep_fingerprint, Checkpoint};
-pub use exec::{shard_range, Executor, StreamSummary, SweepResult};
+pub use exec::{shard_range, StreamSummary, SweepResult};
 pub use frontier::{FrontierPlan, FrontierRow, FrontierRunner, FrontierSlice};
 pub use grid::ScenarioGrid;
 pub use memo::{hash_taskset, AllocationKey, MemoCache, MemoStats, ProblemKey, SharedAllocation};
 pub use obs::{phase_table, SweepObs, WorkerObs, ENGINE_TRACK, PHASES};
-pub use rt_core::batch::{BatchMode, BatchStats};
 pub use rt_core::Time;
 pub use scenario::{DetectionStats, Scenario, ScenarioOutcome};
 pub use sink::{CsvSink, JsonlSink, NullSink, OutcomeSink, TeeSink, VecSink};
@@ -96,8 +98,8 @@ pub use store::MemoStore;
 /// Convenience re-exports for sweep definitions.
 pub mod prelude {
     pub use crate::agg::{PairedSink, SweepAccumulator};
-    pub use crate::api::{Progress, SweepHandle, SweepSession};
-    pub use crate::exec::{shard_range, Executor, StreamSummary, SweepResult};
+    pub use crate::api::{Progress, SweepHandle, SweepPlan, SweepSession};
+    pub use crate::exec::{shard_range, StreamSummary, SweepResult};
     pub use crate::frontier::{FrontierPlan, FrontierRow, FrontierRunner, FrontierSlice};
     pub use crate::grid::ScenarioGrid;
     pub use crate::scenario::{Scenario, ScenarioOutcome};
@@ -107,5 +109,4 @@ pub mod prelude {
         ScenarioSpec, SyntheticOverrides, UtilizationGrid, Workload,
     };
     pub use crate::store::MemoStore;
-    pub use rt_core::batch::BatchMode;
 }

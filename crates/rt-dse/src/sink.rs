@@ -11,8 +11,8 @@
 //! outcome at a time **in grid order** (a reorder buffer over the parallel
 //! workers restores the order), so a sweep's memory footprint no longer
 //! scales with the grid — [`JsonlSink`] and [`CsvSink`] write each record as
-//! it arrives and retain nothing. [`VecSink`] is the buffered adapter the
-//! compatibility API [`crate::Executor::run`] uses.
+//! it arrives and retain nothing. [`VecSink`] is the buffered adapter
+//! behind [`crate::SweepSession::run_buffered`].
 
 use std::fmt::Write as _;
 
@@ -142,8 +142,9 @@ pub fn outcome_to_csv_row(outcome: &ScenarioOutcome) -> String {
     )
 }
 
-/// A consumer of scenario outcomes, fed **in grid order** by the streaming
-/// executor ([`crate::Executor::run_streaming`]).
+/// A consumer of scenario outcomes, fed **in plan order** by the streaming
+/// core ([`crate::SweepSession::run`] and
+/// [`crate::SweepSession::run_plan`]).
 ///
 /// Implementations should write or fold each record as it arrives and retain
 /// O(1) state, so sweep memory stays bounded regardless of grid size.
@@ -278,8 +279,8 @@ impl<W: std::io::Write + Send> OutcomeSink for CsvSink<W> {
 }
 
 /// Buffers outcomes in memory — the adapter behind the non-streaming
-/// [`crate::Executor::run`]. Memory scales with the grid; prefer the
-/// streaming sinks for large sweeps.
+/// [`crate::SweepSession::run_buffered`]. Memory scales with the grid;
+/// prefer the streaming sinks for large sweeps.
 #[derive(Debug, Default)]
 pub struct VecSink {
     outcomes: Vec<ScenarioOutcome>,
@@ -466,7 +467,7 @@ pub fn frontier_to_csv(rows: &[crate::frontier::FrontierRow]) -> String {
 mod tests {
     use super::*;
     use crate::agg::SweepAccumulator;
-    use crate::exec::Executor;
+    use crate::api::SweepSession;
     use crate::scenario::{DetectionStats, Scenario, ScenarioOutcome};
     use crate::spec::{AllocatorKind, ScenarioSpec, UtilizationGrid};
 
@@ -476,7 +477,7 @@ mod tests {
         spec.utilizations = UtilizationGrid::Fractions(vec![0.2]);
         spec.allocators = vec![AllocatorKind::Hydra];
         spec.trials = 2;
-        Executor::serial().run(&spec).outcomes
+        SweepSession::new(spec).threads(1).run_buffered().outcomes
     }
 
     #[test]

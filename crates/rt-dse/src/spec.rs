@@ -428,6 +428,44 @@ impl ScenarioSpec {
             explore: ExploreMode::Exhaustive,
         }
     }
+
+    /// Refuses a spec the engine cannot run as written, instead of letting
+    /// it stream a wrong or empty result: zero trials, or a frontier search
+    /// that has no utilization axis to bisect or is asked to sample the
+    /// grid (the frontier plans its own points). The CLI, the server and
+    /// [`crate::SweepSession`] all apply it.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable reason naming the offending setting.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.trials == 0 {
+            return Err("trials must be at least 1".to_owned());
+        }
+        if let ExploreMode::Frontier(_) = self.explore {
+            if let Expansion::Sampled(_) = self.expansion {
+                return Err(
+                    "frontier exploration plans its own points and cannot sample the grid"
+                        .to_owned(),
+                );
+            }
+            let no_axis = match self.workload {
+                Workload::CaseStudyUav => true,
+                Workload::Synthetic(_) => self
+                    .cores
+                    .iter()
+                    .all(|&cores| self.utilizations.points(cores).is_empty()),
+            };
+            if no_axis {
+                return Err(
+                    "frontier exploration needs a utilization axis to bisect, and this \
+                     workload has none"
+                        .to_owned(),
+                );
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! `dse sweep` argument handling, exercised through the real binary:
 //! input the CLI does not understand exits 2 with a named error before any
-//! file is written, `--help` prints the usage without sweeping, and a fresh
-//! run replaces old outputs without the resume diagnostics.
+//! file is written, a spec the engine cannot honour exits 1 the same way,
+//! `--help` prints the usage without sweeping, and a fresh run replaces old
+//! outputs without the resume diagnostics.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -33,8 +34,9 @@ fn is_empty(dir: &Path) -> bool {
 #[test]
 fn malformed_arguments_exit_2_before_writing_anything() {
     let cwd = temp_dir("malformed");
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 7] = [
         (&["--thread", "4"], "unknown option --thread"),
+        (&["--no-batch"], "unknown option --no-batch"),
         (&["--bogus-flag", "1"], "unknown option --bogus-flag"),
         (
             &["--cores", "2", "--cores", "4"],
@@ -59,6 +61,35 @@ fn malformed_arguments_exit_2_before_writing_anything() {
         );
         // Neither the default `results/dse` nor a directory named after a
         // swallowed flag may appear.
+        assert!(is_empty(&cwd), "dse {argv:?} wrote into {}", cwd.display());
+    }
+    fs::remove_dir_all(&cwd).expect("remove temp dir");
+}
+
+#[test]
+fn specs_the_planner_cannot_honour_exit_1_before_writing_anything() {
+    let cwd = temp_dir("invalid-spec");
+    let cases: [(&[&str], &str); 3] = [
+        (
+            &["--explore", "frontier", "--sample", "5"],
+            "frontier exploration plans its own points and cannot sample the grid",
+        ),
+        (
+            &["--workload", "uav", "--explore", "frontier"],
+            "frontier exploration needs a utilization axis to bisect, and this workload has none",
+        ),
+        (&["--trials", "0"], "trials must be at least 1"),
+    ];
+    for (args, error) in cases {
+        let mut argv = vec!["sweep", "--cores", "2", "--out", "out"];
+        argv.extend_from_slice(args);
+        let output = dse_in(&cwd, &argv);
+        assert_eq!(output.status.code(), Some(1), "dse {argv:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&output.stderr).trim_end(),
+            format!("error: {error}"),
+            "dse {argv:?}"
+        );
         assert!(is_empty(&cwd), "dse {argv:?} wrote into {}", cwd.display());
     }
     fs::remove_dir_all(&cwd).expect("remove temp dir");

@@ -26,6 +26,13 @@ fn accumulate(outcomes: &[ScenarioOutcome]) -> Vec<AggregateRow> {
     acc.rows()
 }
 
+/// Buffers a whole run of `spec` on `threads` workers.
+fn run(spec: &ScenarioSpec, threads: usize) -> SweepResult {
+    SweepSession::new(spec.clone())
+        .threads(threads)
+        .run_buffered()
+}
+
 /// A small randomly-parameterised sweep spec: the property tests quantify
 /// over cores, trials, utilization grids, seeds and allocator subsets.
 fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
@@ -80,16 +87,16 @@ proptest! {
 
     #[test]
     fn repeated_runs_serialize_to_identical_bytes(spec in arb_spec()) {
-        let first = Executor::serial().run(&spec);
-        let second = Executor::serial().run(&spec);
+        let first = run(&spec, 1);
+        let second = run(&spec, 1);
         prop_assert_eq!(to_jsonl(&first.outcomes), to_jsonl(&second.outcomes));
         prop_assert_eq!(to_csv(&first.outcomes), to_csv(&second.outcomes));
     }
 
     #[test]
     fn parallel_and_serial_execution_agree_exactly(spec in arb_spec()) {
-        let serial = Executor::serial().run(&spec);
-        let parallel = Executor::with_threads(4).run(&spec);
+        let serial = run(&spec, 1);
+        let parallel = run(&spec, 4);
         // Outcome-level equality...
         prop_assert_eq!(&serial.outcomes, &parallel.outcomes);
         // ...and therefore byte-identical serializations and aggregates.
@@ -107,8 +114,8 @@ proptest! {
     fn different_seeds_produce_different_results(spec in arb_spec()) {
         let mut reseeded = spec.clone();
         reseeded.base_seed = spec.base_seed.wrapping_add(1);
-        let a = Executor::serial().run(&spec);
-        let b = Executor::serial().run(&reseeded);
+        let a = run(&spec, 1);
+        let b = run(&reseeded, 1);
         // Same grid shape...
         prop_assert_eq!(a.outcomes.len(), b.outcomes.len());
         // ...but different generated workloads somewhere in the sweep.
@@ -126,8 +133,8 @@ fn sampled_expansion_is_deterministic_across_thread_counts() {
     spec.utilizations = UtilizationGrid::NormalizedSteps(4);
     spec.trials = 3;
     spec.expansion = Expansion::Sampled(20);
-    let serial = Executor::serial().run(&spec);
-    let parallel = Executor::with_threads(3).run(&spec);
+    let serial = run(&spec, 1);
+    let parallel = run(&spec, 3);
     assert_eq!(serial.outcomes.len(), 20);
     assert_eq!(to_jsonl(&serial.outcomes), to_jsonl(&parallel.outcomes));
 }
@@ -146,8 +153,9 @@ fn stream_range_into(
     let mut jsonl_sink = JsonlSink::new(Vec::new());
     let mut csv_sink = CsvSink::new(Vec::new(), first);
     let mut tee = TeeSink::new().with(&mut jsonl_sink).with(&mut csv_sink);
-    Executor::with_threads(threads)
-        .run_streaming_range(spec, range, &mut tee)
+    let session = SweepSession::new(spec.clone()).threads(threads);
+    session
+        .run_plan(&session.plan(), range, &mut tee)
         .expect("in-memory sinks never fail");
     jsonl.extend(jsonl_sink.into_inner());
     csv.extend(csv_sink.into_inner());
@@ -171,7 +179,7 @@ fn shard_streams_concatenate_to_the_full_run_at_any_thread_count() {
         PeriodPolicy::Joint,
     ];
     spec.trials = 2;
-    let full = Executor::serial().run(&spec);
+    let full = run(&spec, 1);
     let (full_jsonl, full_csv) = (to_jsonl(&full.outcomes), to_csv(&full.outcomes));
     let n = full.outcomes.len();
     assert_eq!(n, 108);
@@ -206,7 +214,7 @@ fn a_killed_and_resumed_run_is_byte_identical_to_one_full_sweep() {
     spec.utilizations = UtilizationGrid::NormalizedSteps(4);
     spec.allocators = vec![AllocatorKind::Hydra, AllocatorKind::SingleCore];
     spec.trials = 3;
-    let full = Executor::serial().run(&spec);
+    let full = run(&spec, 1);
     let (full_jsonl, full_csv) = (to_jsonl(&full.outcomes), to_csv(&full.outcomes));
     let n = full.outcomes.len();
     for cut in [1usize, n / 3 + 1, n - 1] {
@@ -243,9 +251,9 @@ fn three_policy_paired_sweeps_are_byte_identical_across_thread_counts() {
         PeriodPolicy::Joint,
     ];
     spec.trials = 2;
-    let serial = Executor::serial().run(&spec);
+    let serial = run(&spec, 1);
     for threads in [2usize, 4] {
-        let parallel = Executor::with_threads(threads).run(&spec);
+        let parallel = run(&spec, threads);
         assert_eq!(to_jsonl(&serial.outcomes), to_jsonl(&parallel.outcomes));
         assert_eq!(to_csv(&serial.outcomes), to_csv(&parallel.outcomes));
         assert_eq!(
@@ -284,7 +292,7 @@ fn memo_work_counts_are_independent_of_thread_count() {
     ];
     spec.trials = 4;
 
-    let serial = Executor::serial().run(&spec);
+    let serial = run(&spec, 1);
     let feasible_pairs: std::collections::BTreeSet<_> = serial
         .outcomes
         .iter()
@@ -294,7 +302,7 @@ fn memo_work_counts_are_independent_of_thread_count() {
     assert!(!feasible_pairs.is_empty());
     assert_eq!(serial.memo.allocation_misses, feasible_pairs.len() as u64);
     for threads in [2usize, 4] {
-        let parallel = Executor::with_threads(threads).run(&spec);
+        let parallel = run(&spec, threads);
         assert_eq!(
             parallel.memo, serial.memo,
             "exhaustive grid, {threads} threads"
@@ -303,10 +311,10 @@ fn memo_work_counts_are_independent_of_thread_count() {
 
     spec.explore = ExploreMode::Frontier(FrontierConfig::default());
     let explore = |threads: usize| {
-        FrontierRunner::new(SweepSession::new(spec.clone()).threads(threads))
-            .explore(&mut NullSink)
+        SweepSession::new(spec.clone())
+            .threads(threads)
+            .run(&mut NullSink)
             .expect("NullSink never fails")
-            .1
             .memo
     };
     let frontier = explore(1);
@@ -316,84 +324,15 @@ fn memo_work_counts_are_independent_of_thread_count() {
 }
 
 #[test]
-fn batched_and_scalar_kernels_stream_identical_bytes() {
-    // The batch-kernel contract, pinned: switching the executor between the
-    // 8-lane structure-of-arrays kernels (the default) and the scalar
-    // oracles never changes an output byte — across the full allocator and
-    // period-policy axes, at any thread count.
-    let mut spec = ScenarioSpec::synthetic("batch-identity");
-    spec.cores = vec![2, 4];
-    spec.utilizations = UtilizationGrid::NormalizedSteps(3);
-    spec.allocators = vec![
-        AllocatorKind::Hydra,
-        AllocatorKind::SingleCore,
-        AllocatorKind::NpHydra,
-    ];
-    spec.period_policies = vec![
-        PeriodPolicy::Fixed,
-        PeriodPolicy::Adapt,
-        PeriodPolicy::Joint,
-    ];
-    spec.trials = 2;
-
-    let scalar = Executor::serial()
-        .with_batch_mode(BatchMode::Scalar)
-        .run(&spec);
-    let scalar_jsonl = to_jsonl(&scalar.outcomes);
-    let scalar_csv = to_csv(&scalar.outcomes);
-    let scalar_summary = summary_to_csv(&accumulate(&scalar.outcomes));
-
-    for threads in [1usize, 2, 4] {
-        for mode in [BatchMode::Batch, BatchMode::Scalar] {
-            let run = Executor::with_threads(threads)
-                .with_batch_mode(mode)
-                .run(&spec);
-            let label = format!("threads={threads} mode={mode:?}");
-            assert_eq!(
-                to_jsonl(&run.outcomes),
-                scalar_jsonl,
-                "JSONL differs with {label}"
-            );
-            assert_eq!(
-                to_csv(&run.outcomes),
-                scalar_csv,
-                "CSV differs with {label}"
-            );
-            assert_eq!(
-                summary_to_csv(&accumulate(&run.outcomes)),
-                scalar_summary,
-                "summary differs with {label}"
-            );
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn batching_on_and_off_agree_on_random_sweeps(spec in arb_spec()) {
-        // Quantified over random axes: the batched default and the scalar
-        // oracle serialize every sweep to the identical bytes.
-        let batched = Executor::serial().run(&spec);
-        let scalar = Executor::serial()
-            .with_batch_mode(BatchMode::Scalar)
-            .run(&spec);
-        prop_assert_eq!(&batched.outcomes, &scalar.outcomes);
-        prop_assert_eq!(to_jsonl(&batched.outcomes), to_jsonl(&scalar.outcomes));
-        prop_assert_eq!(to_csv(&batched.outcomes), to_csv(&scalar.outcomes));
-    }
-}
-
-#[test]
 fn streaming_partial_aggregates_match_the_buffered_summary() {
     let mut spec = ScenarioSpec::synthetic("online-agg");
     spec.cores = vec![2, 4];
     spec.utilizations = UtilizationGrid::NormalizedSteps(3);
     spec.trials = 3;
-    let buffered = Executor::serial().run(&spec);
-    let summary = Executor::with_threads(4)
-        .run_streaming(&spec, &mut NullSink)
+    let buffered = run(&spec, 1);
+    let summary = SweepSession::new(spec.clone())
+        .threads(4)
+        .run(&mut NullSink)
         .unwrap();
     assert_eq!(summary.partial.rows(), accumulate(&buffered.outcomes));
     assert_eq!(
@@ -420,7 +359,7 @@ fn observability_never_changes_an_output_byte() {
     spec.period_policies = vec![PeriodPolicy::Fixed, PeriodPolicy::Adapt];
     spec.trials = 2;
 
-    let baseline = Executor::serial().run(&spec);
+    let baseline = run(&spec, 1);
     let base_jsonl = to_jsonl(&baseline.outcomes);
     let base_csv = to_csv(&baseline.outcomes);
     let base_summary = summary_to_csv(&accumulate(&baseline.outcomes));
@@ -428,13 +367,13 @@ fn observability_never_changes_an_output_byte() {
     for threads in [1usize, 2, 4] {
         for (metrics, tracing) in [(true, false), (false, true), (true, true)] {
             let obs = SweepObs::new(metrics, tracing);
-            let executor = Executor::with_threads(threads).with_observability(obs.clone());
+            let session = SweepSession::new(spec.clone())
+                .threads(threads)
+                .observability(obs.clone());
             let mut jsonl_sink = JsonlSink::new(Vec::new());
             let mut csv_sink = CsvSink::new(Vec::new(), true);
             let mut tee = TeeSink::new().with(&mut jsonl_sink).with(&mut csv_sink);
-            let summary = executor
-                .run_streaming(&spec, &mut tee)
-                .expect("in-memory sinks never fail");
+            let summary = session.run(&mut tee).expect("in-memory sinks never fail");
             let label = format!("threads={threads} metrics={metrics} tracing={tracing}");
             assert_eq!(
                 String::from_utf8(jsonl_sink.into_inner()).unwrap(),
@@ -477,7 +416,7 @@ fn detection_stats_distinguish_silence_from_instant_detection() {
     // Regression: zero detections must surface as None/missed, never 0.0 ms.
     let mut spec = ScenarioSpec::uav_detection("uav-miss", 20, 15);
     spec.cores = vec![2];
-    let result = Executor::serial().run(&spec);
+    let result = run(&spec, 1);
     for outcome in &result.outcomes {
         let d = outcome.detection.as_ref().unwrap();
         assert_eq!(d.injected, d.detected + d.missed);
@@ -495,8 +434,8 @@ fn detection_stats_distinguish_silence_from_instant_detection() {
 fn detection_sweeps_are_deterministic() {
     let mut spec = ScenarioSpec::uav_detection("uav-determinism", 20, 15);
     spec.cores = vec![2];
-    let a = Executor::serial().run(&spec);
-    let b = Executor::with_threads(2).run(&spec);
+    let a = run(&spec, 1);
+    let b = run(&spec, 2);
     assert_eq!(to_jsonl(&a.outcomes), to_jsonl(&b.outcomes));
     // Both schemes face the identical attack sequence: the detection record
     // exists and reports the same number of injected attacks.

@@ -6,10 +6,16 @@
 //! [--seed S] [--out DIR]`
 
 use hydra_bench::fig1::{cdf_table, improvement_table, run, summary_table, Fig1Config};
-use hydra_bench::CliOptions;
+use hydra_bench::{CliFlag, CliOptions};
 
 fn main() {
-    let options = CliOptions::from_env();
+    let options = CliOptions::from_env(&[
+        CliFlag::Quick,
+        CliFlag::Trials,
+        CliFlag::Seed,
+        CliFlag::Cores,
+        CliFlag::Out,
+    ]);
     let mut config = if options.quick {
         Fig1Config::quick()
     } else {
@@ -21,7 +27,7 @@ fn main() {
     if let Some(seed) = options.seed {
         config.seed = seed;
     }
-    if let Some(cores) = options.cores.clone().filter(|c| !c.is_empty()) {
+    if let Some(cores) = options.cores {
         config.cores = cores;
     }
 
@@ -46,9 +52,7 @@ fn main() {
         (&cdf, "fig1_cdf"),
         (&improvement, "fig1_improvement"),
     ] {
-        match table.write_csv(&dir, name) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("could not write {name}: {e}"),
-        }
+        let path = table.write_csv_or_exit(&dir, name);
+        println!("wrote {}", path.display());
     }
 }

@@ -6,10 +6,16 @@
 //! [--quick] [--trials N] [--cores 2,4,8] [--seed S] [--out DIR]`
 
 use hydra_bench::fig2::{acceptance_table, run, Fig2Config};
-use hydra_bench::CliOptions;
+use hydra_bench::{CliFlag, CliOptions};
 
 fn main() {
-    let options = CliOptions::from_env();
+    let options = CliOptions::from_env(&[
+        CliFlag::Quick,
+        CliFlag::Trials,
+        CliFlag::Seed,
+        CliFlag::Cores,
+        CliFlag::Out,
+    ]);
     let mut config = if options.quick {
         Fig2Config::quick()
     } else {
@@ -21,7 +27,7 @@ fn main() {
     if let Some(seed) = options.seed {
         config.seed = seed;
     }
-    if let Some(cores) = options.cores.clone().filter(|c| !c.is_empty()) {
+    if let Some(cores) = options.cores {
         config.cores = cores;
     }
 
@@ -30,8 +36,6 @@ fn main() {
     print!("{}", table.to_console());
 
     let dir = options.output_dir.unwrap_or_else(|| "results".to_owned());
-    match table.write_csv(&dir, "fig2_acceptance") {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
+    let path = table.write_csv_or_exit(&dir, "fig2_acceptance");
+    println!("\nwrote {}", path.display());
 }

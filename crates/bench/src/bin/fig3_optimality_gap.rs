@@ -6,10 +6,11 @@
 //! [--quick] [--trials N] [--seed S] [--out DIR]`
 
 use hydra_bench::fig3::{run, tightness_table, Fig3Config};
-use hydra_bench::CliOptions;
+use hydra_bench::{CliFlag, CliOptions};
 
 fn main() {
-    let options = CliOptions::from_env();
+    let options =
+        CliOptions::from_env(&[CliFlag::Quick, CliFlag::Trials, CliFlag::Seed, CliFlag::Out]);
     let mut config = if options.quick {
         Fig3Config::quick()
     } else {
@@ -27,8 +28,6 @@ fn main() {
     print!("{}", table.to_console());
 
     let dir = options.output_dir.unwrap_or_else(|| "results".to_owned());
-    match table.write_csv(&dir, "fig3_optimality_gap") {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
+    let path = table.write_csv_or_exit(&dir, "fig3_optimality_gap");
+    println!("\nwrote {}", path.display());
 }

@@ -6,10 +6,16 @@
 //! [--quick] [--trials N] [--seed S] [--cores A,B] [--out DIR]`
 
 use hydra_bench::period_policy::{cdf_table, run, PeriodPolicyConfig};
-use hydra_bench::CliOptions;
+use hydra_bench::{CliFlag, CliOptions};
 
 fn main() {
-    let options = CliOptions::from_env();
+    let options = CliOptions::from_env(&[
+        CliFlag::Quick,
+        CliFlag::Trials,
+        CliFlag::Seed,
+        CliFlag::Cores,
+        CliFlag::Out,
+    ]);
     let mut config = if options.quick {
         PeriodPolicyConfig::quick()
     } else {
@@ -30,8 +36,6 @@ fn main() {
     print!("{}", table.to_console());
 
     let dir = options.output_dir.unwrap_or_else(|| "results".to_owned());
-    match table.write_csv(&dir, "period_policy_cdf") {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
+    let path = table.write_csv_or_exit(&dir, "period_policy_cdf");
+    println!("\nwrote {}", path.display());
 }

@@ -9,11 +9,7 @@
 //! * [`period_policy`] — the fixed/adapt/joint period-policy tightness CDFs
 //!   (the follow-up period-adaptation comparison),
 //! * [`table1`] — the security-task catalogue (Table I),
-//! * [`report`] — small CSV/console reporting helpers shared by the binaries,
-//! * [`gate`] — shared plumbing of the CI bench gates (peak RSS, git SHA,
-//!   baseline parsing for the `BENCH_*.json` records),
-//! * [`record`] — the ordered `BENCH_*.json` record builder shared by the
-//!   gates (common envelope + embedded `rt-obs` metrics snapshot).
+//! * [`report`] — small CSV/console reporting helpers shared by the binaries.
 //!
 //! Each binary in `src/bin/` is a thin wrapper over the corresponding module
 //! so the same experiment code is reachable from integration tests.
@@ -25,9 +21,7 @@
 pub mod fig1;
 pub mod fig2;
 pub mod fig3;
-pub mod gate;
 pub mod period_policy;
-pub mod record;
 pub mod report;
 pub mod table1;
 
@@ -48,9 +42,46 @@ pub(crate) fn capped_paper_fractions(max_points: Option<usize>) -> Vec<f64> {
     }
 }
 
-/// Parses `--key value` style command-line options shared by the experiment
-/// binaries. Unknown keys are ignored so each binary can pick what it needs.
-#[derive(Debug, Clone, PartialEq)]
+/// An option of the experiment binaries. Each binary passes the subset it
+/// honours to [`CliOptions::parse`]; the others are refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CliFlag {
+    /// `--quick`: drastically reduced trial counts for smoke runs.
+    Quick,
+    /// `--trials N`: task sets per utilisation point, or attacks per
+    /// configuration.
+    Trials,
+    /// `--seed S`: the RNG seed.
+    Seed,
+    /// `--cores A,B,…`: the core counts to evaluate.
+    Cores,
+    /// `--out DIR`: the output directory for CSV files.
+    Out,
+}
+
+impl CliFlag {
+    const ALL: [CliFlag; 5] = [
+        CliFlag::Quick,
+        CliFlag::Trials,
+        CliFlag::Seed,
+        CliFlag::Cores,
+        CliFlag::Out,
+    ];
+
+    /// The option as typed, e.g. `--trials`.
+    fn name(self) -> &'static str {
+        match self {
+            CliFlag::Quick => "--quick",
+            CliFlag::Trials => "--trials",
+            CliFlag::Seed => "--seed",
+            CliFlag::Cores => "--cores",
+            CliFlag::Out => "--out",
+        }
+    }
+}
+
+/// The parsed options of an experiment binary.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CliOptions {
     /// Number of random trials (task sets per utilisation point, or attacks
     /// per configuration).
@@ -67,59 +98,72 @@ pub struct CliOptions {
 
 impl CliOptions {
     /// Parses options from an iterator of argument strings (excluding the
-    /// program name).
-    #[must_use]
-    pub fn parse<I, S>(args: I) -> Self
+    /// program name), accepting only the options in `honoured`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending argument for an unknown,
+    /// unhonoured or repeated option, a missing value, or a value that is
+    /// not a positive integer (`--trials`, each `--cores` entry) or a `u64`
+    /// (`--seed`).
+    pub fn parse<I, S>(args: I, honoured: &[CliFlag]) -> Result<Self, String>
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
         let args: Vec<String> = args.into_iter().map(|s| s.as_ref().to_owned()).collect();
-        let mut options = CliOptions {
-            trials: None,
-            seed: None,
-            cores: None,
-            output_dir: None,
-            quick: false,
-        };
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--quick" => {
-                    options.quick = true;
-                    i += 1;
+        let mut options = CliOptions::default();
+        let mut seen: Vec<CliFlag> = Vec::new();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let flag = CliFlag::ALL
+                .into_iter()
+                .find(|f| f.name() == arg)
+                .ok_or_else(|| format!("unknown option {arg}"))?;
+            if !honoured.contains(&flag) {
+                return Err(format!("option {arg} is not supported here"));
+            }
+            if seen.contains(&flag) {
+                return Err(format!("duplicate option {arg}"));
+            }
+            seen.push(flag);
+            let mut value = || match args.next() {
+                Some(value) if !value.starts_with("--") => Ok(value.as_str()),
+                Some(flag) => Err(format!("option {arg} expects a value, got {flag}")),
+                None => Err(format!("option {arg} expects a value")),
+            };
+            let invalid = |value: &str| format!("invalid value for {arg}: {value}");
+            let positive = |raw: &str| raw.trim().parse().ok().filter(|&n: &usize| n > 0);
+            match flag {
+                CliFlag::Quick => options.quick = true,
+                CliFlag::Trials => {
+                    let value = value()?;
+                    options.trials = Some(positive(value).ok_or_else(|| invalid(value))?);
                 }
-                "--trials" if i + 1 < args.len() => {
-                    options.trials = args[i + 1].parse().ok();
-                    i += 2;
+                CliFlag::Seed => {
+                    let value = value()?;
+                    options.seed = Some(value.parse().map_err(|_| invalid(value))?);
                 }
-                "--seed" if i + 1 < args.len() => {
-                    options.seed = args[i + 1].parse().ok();
-                    i += 2;
+                CliFlag::Cores => {
+                    let value = value()?;
+                    let cores: Option<Vec<usize>> = value.split(',').map(positive).collect();
+                    options.cores = Some(cores.ok_or_else(|| invalid(value))?);
                 }
-                "--cores" if i + 1 < args.len() => {
-                    options.cores = Some(
-                        args[i + 1]
-                            .split(',')
-                            .filter_map(|c| c.trim().parse().ok())
-                            .collect(),
-                    );
-                    i += 2;
-                }
-                "--out" if i + 1 < args.len() => {
-                    options.output_dir = Some(args[i + 1].clone());
-                    i += 2;
-                }
-                _ => i += 1,
+                CliFlag::Out => options.output_dir = Some(value()?.to_owned()),
             }
         }
-        options
+        Ok(options)
     }
 
-    /// Parses the options of the current process.
+    /// Parses the options of the current process, accepting only those in
+    /// `honoured`. On a bad argument it prints `error: …` to stderr and
+    /// exits with status 2, before any work starts.
     #[must_use]
-    pub fn from_env() -> Self {
-        CliOptions::parse(std::env::args().skip(1))
+    pub fn from_env(honoured: &[CliFlag]) -> Self {
+        CliOptions::parse(std::env::args().skip(1), honoured).unwrap_or_else(|message| {
+            eprintln!("error: {message}");
+            std::process::exit(2)
+        })
     }
 }
 
@@ -128,29 +172,68 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_known_flags_and_ignores_unknown() {
-        let opts = CliOptions::parse([
-            "--trials", "50", "--seed", "7", "--cores", "2,4,8", "--quick", "--out", "results",
-            "--bogus", "x",
-        ]);
+    fn parses_known_flags_and_refuses_unknown() {
+        let opts = CliOptions::parse(
+            [
+                "--trials", "50", "--seed", "7", "--cores", "2,4,8", "--quick", "--out", "results",
+            ],
+            &CliFlag::ALL,
+        )
+        .unwrap();
         assert_eq!(opts.trials, Some(50));
         assert_eq!(opts.seed, Some(7));
         assert_eq!(opts.cores, Some(vec![2, 4, 8]));
         assert!(opts.quick);
         assert_eq!(opts.output_dir.as_deref(), Some("results"));
+        let err = CliOptions::parse(["--quick", "--bogus", "x"], &CliFlag::ALL).unwrap_err();
+        assert_eq!(err, "unknown option --bogus");
     }
 
     #[test]
     fn defaults_when_no_flags() {
-        let opts = CliOptions::parse(Vec::<String>::new());
+        let opts = CliOptions::parse(Vec::<String>::new(), &CliFlag::ALL).unwrap();
         assert_eq!(opts.trials, None);
         assert!(!opts.quick);
     }
 
     #[test]
-    fn malformed_values_fall_back_to_none() {
-        let opts = CliOptions::parse(["--trials", "abc", "--cores", "x,y"]);
-        assert_eq!(opts.trials, None);
-        assert_eq!(opts.cores, Some(vec![]));
+    fn malformed_values_are_refused() {
+        let refused =
+            |args: &[&str], honoured: &[CliFlag]| CliOptions::parse(args, honoured).unwrap_err();
+        let all = &CliFlag::ALL;
+        assert_eq!(
+            refused(&["--trials", "abc"], all),
+            "invalid value for --trials: abc"
+        );
+        assert_eq!(
+            refused(&["--trials", "0"], all),
+            "invalid value for --trials: 0"
+        );
+        assert_eq!(
+            refused(&["--cores", "x,y"], all),
+            "invalid value for --cores: x,y"
+        );
+        assert_eq!(
+            refused(&["--cores", "2,,4"], all),
+            "invalid value for --cores: 2,,4"
+        );
+        assert_eq!(
+            refused(&["--seed", "-1"], all),
+            "invalid value for --seed: -1"
+        );
+        assert_eq!(refused(&["--seed"], all), "option --seed expects a value");
+        assert_eq!(
+            refused(&["--out", "--quick"], all),
+            "option --out expects a value, got --quick"
+        );
+        assert_eq!(
+            refused(&["--quick", "--quick"], all),
+            "duplicate option --quick"
+        );
+        assert_eq!(refused(&["results"], all), "unknown option results");
+        assert_eq!(
+            refused(&["--cores", "2"], &[CliFlag::Quick, CliFlag::Out]),
+            "option --cores is not supported here"
+        );
     }
 }

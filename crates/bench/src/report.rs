@@ -118,6 +118,17 @@ impl ResultTable {
         file.write_all(self.to_csv().as_bytes())?;
         Ok(path)
     }
+
+    /// [`ResultTable::write_csv`] for the experiment binaries: on failure it
+    /// prints `error: …` to stderr and exits with status 1, so a figure whose
+    /// CSV was not written never reports success.
+    #[must_use]
+    pub fn write_csv_or_exit(&self, dir: &str, name: &str) -> PathBuf {
+        self.write_csv(dir, name).unwrap_or_else(|e| {
+            eprintln!("error: could not write {name}.csv in {dir}: {e}");
+            std::process::exit(1)
+        })
+    }
 }
 
 /// Formats a float with three decimal places (the precision used in the

@@ -17,27 +17,14 @@ use crate::interference::{rt_interference_on, security_interference, Interferenc
 use crate::period::{adapt_period, PeriodChoice};
 use crate::security::{SecurityTaskId, SecurityTaskSet};
 
-/// How HYDRA picks a core among those whose period-adaptation problem is
-/// feasible (Algorithm 1, line 11).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CoreSelection {
-    /// The core giving the maximum tightness for the task being placed (the
-    /// rule of the paper). Ties — common at low utilisation, where several
-    /// cores can grant the desired period — are broken towards the core with
-    /// the least interfering load, then the lower core index; this keeps the
-    /// security tasks spread out, which is what produces the faster detection
-    /// times of Figure 1.
-    #[default]
-    MaxTightness,
-    /// The first (lowest-indexed) feasible core. An ablation variant: cheaper
-    /// to evaluate but blind to the achievable tightness.
-    FirstFeasible,
-    /// The feasible core with the smallest total interference slope
-    /// (utilisation) — a load-balancing ablation variant.
-    LeastLoaded,
-}
-
 /// The HYDRA design-space exploration algorithm.
+///
+/// Among the cores whose period-adaptation problem is feasible, a task goes
+/// to the one giving it the maximum tightness (Algorithm 1, line 11). Ties —
+/// common at low utilisation, where several cores can grant the desired
+/// period — are broken towards the core with the least interfering load,
+/// then the lower core index; this keeps the security tasks spread out,
+/// which is what produces the faster detection times of Figure 1.
 ///
 /// # Example
 ///
@@ -58,27 +45,14 @@ pub enum CoreSelection {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HydraAllocator {
-    selection: CoreSelection,
+    _private: (),
 }
 
 impl HydraAllocator {
-    /// Creates the allocator with the paper's core-selection rule
-    /// (maximum tightness).
+    /// Creates the allocator.
     #[must_use]
     pub fn new() -> Self {
         HydraAllocator::default()
-    }
-
-    /// Uses a different core-selection rule (ablation).
-    #[must_use]
-    pub fn with_selection(selection: CoreSelection) -> Self {
-        HydraAllocator { selection }
-    }
-
-    /// The configured core-selection rule.
-    #[must_use]
-    pub fn selection(&self) -> CoreSelection {
-        self.selection
     }
 
     /// Runs Algorithm 1 against an already-partitioned real-time workload.
@@ -123,16 +97,12 @@ impl HydraAllocator {
                     continue;
                 };
                 let candidate_load = bound.slope;
-                let better = match (&best, self.selection) {
-                    (None, _) => true,
-                    (Some(_), CoreSelection::FirstFeasible) => false,
-                    (Some((_, incumbent, incumbent_load)), CoreSelection::MaxTightness) => {
+                let better = match &best {
+                    None => true,
+                    Some((_, incumbent, incumbent_load)) => {
                         choice.tightness > incumbent.tightness + 1e-12
                             || ((choice.tightness - incumbent.tightness).abs() <= 1e-12
                                 && candidate_load < incumbent_load - 1e-12)
-                    }
-                    (Some((_, _, incumbent_load)), CoreSelection::LeastLoaded) => {
-                        candidate_load < incumbent_load - 1e-12
                     }
                 };
                 if better {
@@ -326,42 +296,23 @@ mod tests {
     }
 
     #[test]
-    fn first_feasible_selection_piles_onto_core_zero() {
-        let rt_tasks = TaskSet::empty();
-        let sec_tasks: SecurityTaskSet = vec![sec(100, 1000, 10_000), sec(100, 1000, 10_000)]
-            .into_iter()
-            .collect();
-        let problem = AllocationProblem::new(rt_tasks, sec_tasks, 2);
-        let allocation = HydraAllocator::with_selection(CoreSelection::FirstFeasible)
-            .allocate(&problem)
-            .unwrap();
-        assert_eq!(allocation.core_of(SecurityTaskId(0)), CoreId(0));
-        assert_eq!(allocation.core_of(SecurityTaskId(1)), CoreId(0));
-    }
-
-    #[test]
     fn least_loaded_selection_avoids_the_busy_core() {
-        // Core 0 busy with RT work, core 1 idle: the least-loaded rule must
-        // put the security task on core 1 even though both are feasible.
+        // Core 0 busy with RT work, core 1 idle: both grant the light task
+        // its desired period, so the tightness tie breaks towards core 1.
         let rt_tasks: TaskSet = vec![rt(50, 100)].into_iter().collect();
         let sec_tasks: SecurityTaskSet = vec![sec(10, 1000, 10_000)].into_iter().collect();
         let problem = AllocationProblem::new(rt_tasks, sec_tasks, 2);
-        let allocation = HydraAllocator::with_selection(CoreSelection::LeastLoaded)
-            .allocate(&problem)
-            .unwrap();
+        let allocation = HydraAllocator::default().allocate(&problem).unwrap();
         let rt_core = allocation
             .rt_partition()
             .core_of(rt_core::TaskId(0))
             .unwrap();
         assert_ne!(allocation.core_of(SecurityTaskId(0)), rt_core);
+        assert!((allocation.mean_tightness() - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn allocator_reports_its_name() {
         assert_eq!(HydraAllocator::default().name(), "HYDRA");
-        assert_eq!(
-            HydraAllocator::with_selection(CoreSelection::LeastLoaded).selection(),
-            CoreSelection::LeastLoaded
-        );
     }
 }

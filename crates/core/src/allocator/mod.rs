@@ -8,7 +8,7 @@ mod hydra;
 mod optimal;
 mod single_core;
 
-pub use hydra::{CoreSelection, HydraAllocator};
+pub use hydra::HydraAllocator;
 pub use optimal::{OptimalAllocator, SearchStats};
 pub use single_core::SingleCoreAllocator;
 

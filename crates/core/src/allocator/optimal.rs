@@ -119,18 +119,10 @@ impl OptimalAllocator {
         OptimalAllocator::default()
     }
 
-    /// Overrides the joint period-optimisation options (e.g.
-    /// [`JointOptions::greedy_only`] for the ablation that isolates the value
-    /// of period refinement from the value of exhaustive assignment search).
-    #[must_use]
-    pub fn with_joint_options(mut self, joint: JointOptions) -> Self {
-        self.joint = joint;
-        self
-    }
-
     /// Overrides the assignment-space safety limit.
+    #[cfg(test)]
     #[must_use]
-    pub fn with_assignment_limit(mut self, limit: u128) -> Self {
+    pub(crate) fn with_assignment_limit(mut self, limit: u128) -> Self {
         self.max_assignments = limit;
         self
     }
@@ -776,30 +768,6 @@ mod tests {
             OptimalAllocator::default().allocate(&problem),
             Err(AllocationError::RtPartitionFailed { .. })
         ));
-    }
-
-    #[test]
-    fn greedy_only_variant_still_dominates_hydra() {
-        // Even without period refinement, searching over all assignments can
-        // only help relative to HYDRA's greedy assignment.
-        let sec_tasks: SecurityTaskSet = vec![
-            sec(300, 1000, 10_000),
-            sec(300, 1000, 10_000),
-            sec(300, 1500, 15_000),
-        ]
-        .into_iter()
-        .collect();
-        let rt_tasks: TaskSet = vec![rt(60, 100), rt(20, 100)].into_iter().collect();
-        let problem = AllocationProblem::new(rt_tasks, sec_tasks.clone(), 2);
-        let hydra = HydraAllocator::default().allocate(&problem).unwrap();
-        let optimal = OptimalAllocator::default()
-            .with_joint_options(JointOptions::greedy_only())
-            .allocate(&problem)
-            .unwrap();
-        assert!(
-            optimal.cumulative_tightness(&sec_tasks) + 1e-9
-                >= hydra.cumulative_tightness(&sec_tasks)
-        );
     }
 
     #[test]

@@ -51,26 +51,6 @@ pub fn uav_case_study() -> (TaskSet, SecurityTaskSet) {
     (uav_rt_tasks(), table1_tasks())
 }
 
-/// A scaled variant of the UAV workload for stress experiments: `copies`
-/// replicas of the six control tasks (each replica representing an additional
-/// vehicle subsystem or redundant channel), useful for loading platforms with
-/// more cores.
-#[must_use]
-pub fn uav_rt_tasks_scaled(copies: usize) -> TaskSet {
-    let base = uav_rt_tasks();
-    let mut all = TaskSet::empty();
-    for i in 0..copies.max(1) {
-        for task in base.tasks() {
-            let name = match task.name() {
-                Some(n) => format!("{n}_{i}"),
-                None => format!("task_{i}"),
-            };
-            all.push(task.clone().with_name(name));
-        }
-    }
-    all
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,27 +80,5 @@ mod tests {
         let (rt, sec) = uav_case_study();
         assert_eq!(rt.len(), 6);
         assert_eq!(sec.len(), 6);
-    }
-
-    #[test]
-    fn scaled_workload_multiplies_tasks() {
-        let scaled = uav_rt_tasks_scaled(3);
-        assert_eq!(scaled.len(), 18);
-        assert!(
-            (scaled.total_utilization() - 3.0 * uav_rt_tasks().total_utilization()).abs() < 1e-9
-        );
-        // Names stay unique across copies.
-        let mut names: Vec<String> = scaled
-            .tasks()
-            .filter_map(|t| t.name().map(str::to_owned))
-            .collect();
-        names.sort();
-        names.dedup();
-        assert_eq!(names.len(), 18);
-    }
-
-    #[test]
-    fn scaled_with_zero_copies_still_returns_one_copy() {
-        assert_eq!(uav_rt_tasks_scaled(0).len(), 6);
     }
 }

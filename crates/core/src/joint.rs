@@ -56,7 +56,7 @@ impl Default for JointOptions {
 
 impl JointOptions {
     /// Disables the refinement entirely: the result is exactly the greedy
-    /// (HYDRA-style) period vector. Used by ablation benches.
+    /// (HYDRA-style) period vector. The `adapt` period policy uses it.
     #[must_use]
     pub fn greedy_only() -> Self {
         JointOptions {

@@ -57,9 +57,7 @@ pub mod security;
 pub mod sensitivity;
 
 pub use allocation::{Allocation, AllocationError, AllocationProblem, SecurityPlacement};
-pub use allocator::{
-    Allocator, CoreSelection, HydraAllocator, OptimalAllocator, SingleCoreAllocator,
-};
+pub use allocator::{Allocator, HydraAllocator, OptimalAllocator, SingleCoreAllocator};
 pub use batch::LaneBounds;
 pub use interference::InterferenceBound;
 pub use joint::{readapt_allocation, readapt_allocation_with_mode, JointOptions};

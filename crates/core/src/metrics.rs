@@ -114,17 +114,6 @@ pub fn mean(values: &[f64]) -> f64 {
     }
 }
 
-/// Sample standard deviation of a slice; `0` for fewer than two samples.
-#[must_use]
-pub fn std_dev(values: &[f64]) -> f64 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(values);
-    let var = values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / (values.len() - 1) as f64;
-    var.sqrt()
-}
-
 /// The `p`-th percentile (0–100) of a slice using linear interpolation;
 /// `0` for an empty slice.
 ///
@@ -225,11 +214,9 @@ mod tests {
     }
 
     #[test]
-    fn mean_std_and_percentile() {
+    fn mean_and_percentile() {
         let v = [1.0, 2.0, 3.0, 4.0];
         assert!((mean(&v) - 2.5).abs() < 1e-12);
-        assert!((std_dev(&v) - 1.2909944487).abs() < 1e-9);
-        assert_eq!(std_dev(&[1.0]), 0.0);
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
         assert_eq!(percentile(&[7.0], 90.0), 7.0);

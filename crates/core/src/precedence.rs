@@ -125,21 +125,6 @@ impl PrecedenceGraph {
             .collect()
     }
 
-    /// Direct successors of a task.
-    #[must_use]
-    pub fn successors(&self, task: SecurityTaskId) -> Vec<SecurityTaskId> {
-        self.edges
-            .get(task.0)
-            .map(|succs| succs.iter().map(|&s| SecurityTaskId(s)).collect())
-            .unwrap_or_default()
-    }
-
-    /// Whether the graph has no constraints at all.
-    #[must_use]
-    pub fn has_no_constraints(&self) -> bool {
-        self.edges.iter().all(Vec::is_empty)
-    }
-
     /// A topological order of all tasks (Kahn's algorithm).
     ///
     /// # Errors
@@ -413,13 +398,12 @@ mod tests {
     #[test]
     fn graph_construction_and_queries() {
         let mut g = PrecedenceGraph::new(3);
-        assert!(g.has_no_constraints());
+        assert!(g.predecessors(SecurityTaskId(2)).is_empty());
         g.add_dependency(SecurityTaskId(0), SecurityTaskId(1))
             .unwrap();
         g.add_dependency(SecurityTaskId(0), SecurityTaskId(2))
             .unwrap();
-        assert!(!g.has_no_constraints());
-        assert_eq!(g.successors(SecurityTaskId(0)).len(), 2);
+        assert_eq!(g.predecessors(SecurityTaskId(1)), vec![SecurityTaskId(0)]);
         assert_eq!(g.predecessors(SecurityTaskId(2)), vec![SecurityTaskId(0)]);
         assert_eq!(g.len(), 3);
         assert!(!g.is_empty());
@@ -443,7 +427,7 @@ mod tests {
             Err(PrecedenceError::Cyclic)
         );
         // The rejected edge must not linger.
-        assert!(g.successors(SecurityTaskId(1)).is_empty());
+        assert!(g.predecessors(SecurityTaskId(0)).is_empty());
     }
 
     #[test]

@@ -249,13 +249,6 @@ impl SecurityTask {
         self.wcet.ratio(self.desired_period)
     }
 
-    /// Utilisation at the maximum period, `C_s / T_s^max` — the lowest
-    /// utilisation at which the task still provides effective monitoring.
-    #[must_use]
-    pub fn min_utilization(&self) -> f64 {
-        self.wcet.ratio(self.max_period)
-    }
-
     /// Tightness achieved when running at the maximum period,
     /// `T^des / T^max` — the lower bound of the metric `η_s` (Eq. 2).
     #[must_use]
@@ -428,7 +421,7 @@ impl SecurityTaskSet {
     /// bound on the load required for effective monitoring).
     #[must_use]
     pub fn min_total_utilization(&self) -> f64 {
-        self.tasks.iter().map(SecurityTask::min_utilization).sum()
+        self.tasks.iter().map(|t| t.wcet.ratio(t.max_period)).sum()
     }
 
     /// Sum of all weights `Σ ω_s` — the maximum possible cumulative weighted
@@ -484,7 +477,6 @@ mod tests {
         assert_eq!(t.weight(), 2.0);
         assert_eq!(t.name(), Some("bro"));
         assert!((t.max_utilization() - 0.02).abs() < 1e-12);
-        assert!((t.min_utilization() - 0.002).abs() < 1e-12);
         assert!((t.min_tightness() - 0.1).abs() < 1e-12);
         assert!(t.to_string().contains("bro"));
     }

@@ -60,13 +60,6 @@ pub fn hyperperiod(tasks: &TaskSet) -> Time {
         .unwrap_or(Time::ZERO)
 }
 
-/// Whether the hyperperiod is small enough (≤ `limit`) to be useful for
-/// simulation or exhaustive analysis.
-#[must_use]
-pub fn hyperperiod_within(tasks: &TaskSet, limit: Time) -> bool {
-    hyperperiod(tasks) <= limit
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,12 +98,5 @@ mod tests {
     #[test]
     fn hyperperiod_of_empty_set_is_zero() {
         assert_eq!(hyperperiod(&TaskSet::empty()), Time::ZERO);
-    }
-
-    #[test]
-    fn hyperperiod_within_limit() {
-        let set: TaskSet = vec![task(1, 10), task(1, 15)].into_iter().collect();
-        assert!(hyperperiod_within(&set, Time::from_millis(30)));
-        assert!(!hyperperiod_within(&set, Time::from_millis(29)));
     }
 }

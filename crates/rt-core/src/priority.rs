@@ -28,12 +28,6 @@ impl Priority {
         self.0 < other.0
     }
 
-    /// Whether `self` is a strictly lower priority than `other`.
-    #[must_use]
-    pub fn is_lower_than(self, other: Priority) -> bool {
-        self.0 > other.0
-    }
-
     /// The next lower priority level.
     #[must_use]
     pub fn lower(self) -> Priority {
@@ -93,13 +87,6 @@ impl PriorityAssignment {
         for (level, id) in order.iter().enumerate() {
             priorities[id.0] = Priority(level as u32);
         }
-        PriorityAssignment { priorities }
-    }
-
-    /// Builds an assignment from an explicit priority vector
-    /// (`priorities[i]` is the priority of `TaskId(i)`).
-    #[must_use]
-    pub fn from_priorities(priorities: Vec<Priority>) -> Self {
         PriorityAssignment { priorities }
     }
 
@@ -180,7 +167,6 @@ mod tests {
     #[test]
     fn priority_ordering_helpers() {
         assert!(Priority(0).is_higher_than(Priority(1)));
-        assert!(Priority(2).is_lower_than(Priority(1)));
         assert_eq!(Priority::HIGHEST.lower(), Priority(1));
         assert_eq!(Priority(3).to_string(), "P3");
     }
@@ -257,9 +243,13 @@ mod tests {
 
     #[test]
     fn distinctness_detects_duplicates() {
-        let pa = PriorityAssignment::from_priorities(vec![Priority(0), Priority(0)]);
+        let pa = PriorityAssignment {
+            priorities: vec![Priority(0), Priority(0)],
+        };
         assert!(!pa.is_distinct());
-        let pa = PriorityAssignment::from_priorities(vec![Priority(1), Priority(0)]);
+        let pa = PriorityAssignment {
+            priorities: vec![Priority(1), Priority(0)],
+        };
         assert!(pa.is_distinct());
         assert_eq!(pa.len(), 2);
         assert!(!pa.is_empty());

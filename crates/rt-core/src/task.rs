@@ -42,7 +42,6 @@ impl fmt::Display for TaskId {
 /// )?
 /// .with_name("controller");
 /// assert_eq!(controller.utilization(), 0.125);
-/// assert!(controller.has_implicit_deadline());
 /// # Ok(())
 /// # }
 /// ```
@@ -134,18 +133,6 @@ impl RtTask {
     pub fn utilization(&self) -> f64 {
         self.wcet.ratio(self.period)
     }
-
-    /// Task density `C / min(D, T)`.
-    #[must_use]
-    pub fn density(&self) -> f64 {
-        self.wcet.ratio(self.deadline.min(self.period))
-    }
-
-    /// Whether the task has an implicit deadline (`D = T`).
-    #[must_use]
-    pub fn has_implicit_deadline(&self) -> bool {
-        self.deadline == self.period
-    }
 }
 
 impl fmt::Display for RtTask {
@@ -213,18 +200,6 @@ impl TaskSet {
         self.tasks.get(id.0)
     }
 
-    /// Returns the task with the given id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RtError::UnknownTask`] if the id is out of bounds.
-    pub fn try_get(&self, id: TaskId) -> Result<&RtTask, RtError> {
-        self.tasks.get(id.0).ok_or(RtError::UnknownTask {
-            index: id.0,
-            len: self.tasks.len(),
-        })
-    }
-
     /// Iterates over `(TaskId, &RtTask)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (TaskId, &RtTask)> + '_ {
         self.tasks.iter().enumerate().map(|(i, t)| (TaskId(i), t))
@@ -250,12 +225,6 @@ impl TaskSet {
     #[must_use]
     pub fn max_period(&self) -> Option<Time> {
         self.tasks.iter().map(RtTask::period).max()
-    }
-
-    /// The smallest period in the set, or `None` when empty.
-    #[must_use]
-    pub fn min_period(&self) -> Option<Time> {
-        self.tasks.iter().map(RtTask::period).min()
     }
 
     /// Builds a sub-set containing the tasks with the given ids, in the given
@@ -320,7 +289,6 @@ mod tests {
     fn implicit_deadline_sets_deadline_to_period() {
         let t = task(5, 20);
         assert_eq!(t.deadline(), t.period());
-        assert!(t.has_implicit_deadline());
     }
 
     #[test]
@@ -352,7 +320,7 @@ mod tests {
     }
 
     #[test]
-    fn utilization_and_density() {
+    fn utilization_uses_the_period_not_the_deadline() {
         let t = RtTask::new(
             Time::from_millis(2),
             Time::from_millis(10),
@@ -360,7 +328,6 @@ mod tests {
         )
         .unwrap();
         assert!((t.utilization() - 0.2).abs() < 1e-12);
-        assert!((t.density() - 0.4).abs() < 1e-12);
     }
 
     #[test]
@@ -381,10 +348,8 @@ mod tests {
         assert_eq!(b, TaskId(1));
         assert_eq!(set[a].wcet(), Time::from_millis(1));
         assert_eq!(set.get(TaskId(5)), None);
-        assert!(set.try_get(TaskId(5)).is_err());
         assert!((set.total_utilization() - 0.2).abs() < 1e-12);
         assert_eq!(set.max_period(), Some(Time::from_millis(20)));
-        assert_eq!(set.min_period(), Some(Time::from_millis(10)));
     }
 
     #[test]

@@ -70,21 +70,6 @@ impl Time {
         Time(secs * TICKS_PER_SEC)
     }
 
-    /// Creates a time value from a fractional number of milliseconds,
-    /// rounding to the nearest tick.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `millis` is negative or not finite.
-    #[must_use]
-    pub fn from_millis_f64(millis: f64) -> Self {
-        assert!(
-            millis.is_finite() && millis >= 0.0,
-            "time must be finite and non-negative, got {millis}"
-        );
-        Time((millis * TICKS_PER_MILLI as f64).round() as u64)
-    }
-
     /// Creates a time value from a fractional number of seconds, rounding to
     /// the nearest tick.
     ///
@@ -338,15 +323,15 @@ mod tests {
 
     #[test]
     fn float_constructors_round_to_nearest() {
-        assert_eq!(Time::from_millis_f64(1.5), Time::from_micros(1_500));
-        assert_eq!(Time::from_millis_f64(0.0004), Time::from_ticks(0));
+        assert_eq!(Time::from_secs_f64(0.0015), Time::from_micros(1_500));
+        assert_eq!(Time::from_secs_f64(0.000_000_4), Time::from_ticks(0));
         assert_eq!(Time::from_secs_f64(2.5), Time::from_millis(2_500));
     }
 
     #[test]
     #[should_panic(expected = "finite and non-negative")]
     fn negative_float_panics() {
-        let _ = Time::from_millis_f64(-1.0);
+        let _ = Time::from_secs_f64(-1.0);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Utilisation accounting helpers.
 //!
-//! These free functions complement the methods on [`RtTask`] / [`TaskSet`]
-//! with the aggregate quantities used throughout the experiments: per-core
-//! utilisation of a partition slice, the Liu & Layland rate-monotonic bound,
-//! and the hyperbolic bound of Bini & Buttazzo.
+//! These free functions complement the methods on [`RtTask`] /
+//! [`TaskSet`](crate::TaskSet) with the aggregate quantities used throughout
+//! the experiments: per-core utilisation of a partition slice, the Liu &
+//! Layland rate-monotonic bound, and the hyperbolic bound of Bini & Buttazzo.
 
-use crate::task::{RtTask, TaskSet};
+use crate::task::RtTask;
 
 /// Total utilisation of an arbitrary iterator of tasks.
 ///
@@ -61,13 +61,6 @@ where
     product <= 2.0 + 1e-12
 }
 
-/// Whether the task set passes the trivial necessary condition `U ≤ m` for a
-/// platform with `m` cores.
-#[must_use]
-pub fn utilization_fits_cores(tasks: &TaskSet, cores: usize) -> bool {
-    tasks.total_utilization() <= cores as f64 + 1e-9
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,13 +100,6 @@ mod tests {
         let u = total_utilization(set.iter());
         assert!(u > liu_layland_bound(2));
         assert!(hyperbolic_bound_holds(set.iter()));
-    }
-
-    #[test]
-    fn utilization_fits_cores_boundary() {
-        let set: TaskSet = vec![task(10, 10), task(10, 10)].into_iter().collect();
-        assert!(utilization_fits_cores(&set, 2));
-        assert!(!utilization_fits_cores(&set, 1));
     }
 
     #[test]

@@ -46,8 +46,10 @@
 //! curve is a pointwise sample of the exhaustive curve. The emitted bytes
 //! are *not* expected to equal an exhaustive run's (scenario indices and
 //! emission order differ — the point is to evaluate far fewer scenarios);
-//! cliff-bracket agreement with a dense exhaustive reference is the
-//! contract, enforced exactly by the `frontier` bench gate.
+//! cliff-bracket agreement with the exhaustive curve is the contract. The
+//! tests `bisection_brackets_are_adjacent_grid_steps` (every bracket is a
+//! true crossing of that curve) and
+//! `dense_grids_cost_a_tenth_of_the_exhaustive_evaluations` enforce it.
 //!
 //! # Sharding and resume
 //!
@@ -79,8 +81,8 @@ const CLIFF_THRESHOLD: f64 = 0.5;
 // frontier probe and emission therefore evaluates exactly the task set an
 // exhaustive sweep draws at the same grid point — the bisected acceptance
 // curve is a pointwise sample of the exhaustive curve, not merely a
-// statistical twin, which is what lets the `frontier` bench gate verify
-// cliff brackets against a dense reference exactly.
+// statistical twin, which is what lets the tests verify cliff brackets
+// against the exhaustive curve exactly.
 
 /// The radical-inverse (van der Corput) sequence in base 2: `k = 1, 2, 3…`
 /// maps to `0.5, 0.25, 0.75, 0.125…` — a deterministic low-discrepancy
@@ -672,6 +674,21 @@ mod tests {
         let plan = frontier_plan(frontier_spec(), 1);
         assert_eq!(plan.slices.len(), 2);
         let utils = frontier_spec().utilizations.points(2);
+        // The exhaustive curve of the same spec. Probes reuse its positional
+        // streams, so every bracket must be a true crossing of it.
+        let mut exhaustive = frontier_spec();
+        exhaustive.explore = ExploreMode::Exhaustive;
+        let mut acc = SweepAccumulator::new();
+        for outcome in &SweepSession::new(exhaustive).run_buffered().outcomes {
+            acc.record(outcome);
+        }
+        let rows = acc.rows();
+        let acceptance = |allocator: AllocatorKind, util: f64| {
+            rows.iter()
+                .find(|r| r.allocator == allocator && r.utilization == Some(util))
+                .expect("the exhaustive sweep covers every grid point")
+                .acceptance_ratio
+        };
         for slice in &plan.slices {
             let (Some(lo), Some(hi)) = (slice.cliff_lo, slice.cliff_hi) else {
                 panic!("a grid reaching 1.2 utilization per core must bracket the cliff");
@@ -679,11 +696,37 @@ mod tests {
             let lo_idx = utils.iter().position(|&u| u == lo).unwrap();
             let hi_idx = utils.iter().position(|&u| u == hi).unwrap();
             assert_eq!(hi_idx, lo_idx + 1, "bracket must be one grid step");
+            assert!(acceptance(slice.allocator, lo) >= CLIFF_THRESHOLD);
+            assert!(acceptance(slice.allocator, hi) < CLIFF_THRESHOLD);
             // Far fewer points than the exhaustive grid.
             assert!(slice.points.len() < utils.len() / 2);
             // Emission points are sorted and unique.
             assert!(slice.points.windows(2).all(|w| w[0] < w[1]));
         }
+    }
+
+    #[test]
+    fn dense_grids_cost_a_tenth_of_the_exhaustive_evaluations() {
+        // 320 fractions up to 2.0 per core on 2 and 4 cores: 7,680
+        // exhaustive scenarios. Probes and emission together must stay
+        // within a tenth of that.
+        let mut spec = frontier_spec();
+        spec.cores = vec![2, 4];
+        spec.utilizations =
+            UtilizationGrid::Fractions((1..=320).map(|i| 2.0 * f64::from(i) / 320.0).collect());
+        spec.trials = 6;
+        let exhaustive = crate::ScenarioGrid::expand(&spec).len();
+        assert_eq!(exhaustive, 7_680);
+        let plan = frontier_plan(spec, 2);
+        assert!(plan
+            .slices
+            .iter()
+            .all(|s| s.cliff_lo.is_some() && s.cliff_hi.is_some()));
+        let adaptive = plan.probe_evals + plan.len();
+        assert!(
+            adaptive * 10 <= exhaustive,
+            "{adaptive} adaptive vs {exhaustive} exhaustive evaluations"
+        );
     }
 
     #[test]

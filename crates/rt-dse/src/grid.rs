@@ -14,7 +14,6 @@ const SAMPLE_SALT: u64 = 0x5ee1_ab1e_0000_0001;
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioGrid {
     scenarios: Vec<Scenario>,
-    full_size: usize,
 }
 
 impl ScenarioGrid {
@@ -71,8 +70,6 @@ impl ScenarioGrid {
                 }
             }
         }
-        let full_size = scenarios.len();
-
         if let Expansion::Sampled(target) = spec.expansion {
             if target < scenarios.len() {
                 // Deterministic partial Fisher–Yates: draw `target` distinct
@@ -96,10 +93,7 @@ impl ScenarioGrid {
             }
         }
 
-        ScenarioGrid {
-            scenarios,
-            full_size,
-        }
+        ScenarioGrid { scenarios }
     }
 
     /// The scenario points, in deterministic grid order.
@@ -125,12 +119,6 @@ impl ScenarioGrid {
     pub fn is_empty(&self) -> bool {
         self.scenarios.is_empty()
     }
-
-    /// Size of the full cartesian product before sampling.
-    #[must_use]
-    pub fn full_size(&self) -> usize {
-        self.full_size
-    }
 }
 
 #[cfg(test)]
@@ -152,7 +140,6 @@ mod tests {
         let grid = ScenarioGrid::expand(&small_spec());
         // 2 cores × 3 utils × 2 trials × 2 allocators.
         assert_eq!(grid.len(), 24);
-        assert_eq!(grid.full_size(), 24);
         for (i, s) in grid.scenarios().iter().enumerate() {
             assert_eq!(s.index, i);
         }
@@ -224,7 +211,6 @@ mod tests {
         let b = ScenarioGrid::expand(&spec);
         assert_eq!(a, b);
         assert_eq!(a.len(), 10);
-        assert_eq!(a.full_size(), 24);
         // Sampled points carry the stream address they had in the full grid.
         let full = ScenarioGrid::expand(&small_spec());
         for s in a.scenarios() {

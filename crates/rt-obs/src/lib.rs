@@ -1,7 +1,7 @@
 //! # rt-obs — metrics, phase tracing and live telemetry
 //!
 //! A hand-rolled (offline-compatible, shim-style — no external
-//! dependencies) observability layer for the sweep engine and its benches:
+//! dependencies) observability layer for the sweep engine and `perfbench`:
 //!
 //! * [`Registry`](registry::Registry) — counters, gauges and log-bucketed
 //!   latency histograms, stored in **one shard per worker** so the hot path
@@ -9,7 +9,7 @@
 //!   merged deterministically (sorted keys, commutative sums) into a
 //!   [`Snapshot`](registry::Snapshot) at drain, and a fixed documented JSON
 //!   schema ([`Snapshot::to_json`](registry::Snapshot::to_json)) backs
-//!   `--metrics-out` and the `BENCH_*.json` records alike;
+//!   `--metrics-out`;
 //! * [`Tracer`](span::Tracer) — per-phase span recording into per-worker
 //!   ring buffers, exportable as Chrome trace-event JSON (loadable in
 //!   Perfetto / `chrome://tracing`) plus **exact** per-phase time totals

@@ -490,16 +490,6 @@ fn partition_tasks_batched(
     Ok(partition)
 }
 
-/// Partitions `tasks` over `cores` cores with the paper's default
-/// configuration (best-fit, exact response-time admission).
-///
-/// # Errors
-///
-/// Returns a [`PartitionError`] if some task cannot be placed.
-pub fn partition_best_fit(tasks: &TaskSet, cores: usize) -> Result<Partition, PartitionError> {
-    partition_tasks(tasks, cores, &PartitionConfig::paper_default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -583,7 +573,7 @@ mod tests {
     #[test]
     fn infeasible_workload_reports_offending_task() {
         let tasks = set(vec![task(9, 10), task(9, 10), task(9, 10)]);
-        let err = partition_best_fit(&tasks, 2).unwrap_err();
+        let err = partition_tasks(&tasks, 2, &PartitionConfig::paper_default()).unwrap_err();
         assert_eq!(err.task, TaskId(2));
         assert_eq!(err.partial.assigned_count(), 2);
         assert!(err.to_string().contains("cannot be admitted"));
@@ -623,20 +613,24 @@ mod tests {
     #[test]
     fn single_core_partition_equals_uniprocessor_test() {
         let feasible = set(vec![task(1, 4), task(2, 6), task(3, 13)]);
-        assert!(partition_best_fit(&feasible, 1).is_ok());
+        assert!(partition_tasks(&feasible, 1, &PartitionConfig::paper_default()).is_ok());
         let infeasible = set(vec![task(3, 4), task(3, 6)]);
-        assert!(partition_best_fit(&infeasible, 1).is_err());
+        assert!(partition_tasks(&infeasible, 1, &PartitionConfig::paper_default()).is_err());
     }
 
     #[test]
     #[should_panic(expected = "zero cores")]
     fn zero_cores_panics() {
-        let _ = partition_best_fit(&set(vec![task(1, 10)]), 0);
+        let _ = partition_tasks(
+            &set(vec![task(1, 10)]),
+            0,
+            &PartitionConfig::paper_default(),
+        );
     }
 
     #[test]
     fn empty_taskset_partitions_trivially() {
-        let p = partition_best_fit(&TaskSet::empty(), 4).unwrap();
+        let p = partition_tasks(&TaskSet::empty(), 4, &PartitionConfig::paper_default()).unwrap();
         assert!(p.is_complete());
         assert_eq!(p.assigned_count(), 0);
     }

@@ -88,13 +88,6 @@ impl Partition {
         self.assignment[task.0] = Some(core);
     }
 
-    /// Removes the assignment of `task`, if any.
-    pub fn unassign(&mut self, task: TaskId) {
-        if let Some(slot) = self.assignment.get_mut(task.0) {
-            *slot = None;
-        }
-    }
-
     /// The core of `task`, if assigned.
     #[must_use]
     pub fn core_of(&self, task: TaskId) -> Option<CoreId> {
@@ -144,13 +137,6 @@ impl Partition {
         self.core_ids()
             .map(|c| self.utilization_on(tasks, c))
             .collect()
-    }
-
-    /// The indicator `I_r^m` of the paper: 1 if task `r` is assigned to core
-    /// `m`, 0 otherwise.
-    #[must_use]
-    pub fn indicator(&self, task: TaskId, core: CoreId) -> bool {
-        self.core_of(task) == Some(core)
     }
 
     /// Iterates over the tasks of `tasks` assigned to `core`, yielding
@@ -214,16 +200,16 @@ mod tests {
     }
 
     #[test]
-    fn assign_unassign_roundtrip() {
+    fn assign_places_and_replaces() {
         let mut p = Partition::new(3, 2);
         p.assign(TaskId(0), CoreId(1));
         p.assign(TaskId(2), CoreId(0));
         assert_eq!(p.core_of(TaskId(0)), Some(CoreId(1)));
+        assert_eq!(p.core_of(TaskId(1)), None);
         assert_eq!(p.assigned_count(), 2);
-        assert!(p.indicator(TaskId(0), CoreId(1)));
-        assert!(!p.indicator(TaskId(0), CoreId(0)));
-        p.unassign(TaskId(0));
-        assert_eq!(p.core_of(TaskId(0)), None);
+        p.assign(TaskId(0), CoreId(0));
+        assert_eq!(p.core_of(TaskId(0)), Some(CoreId(0)));
+        assert_eq!(p.assigned_count(), 2);
     }
 
     #[test]

@@ -172,16 +172,10 @@ impl SimScratch {
     }
 
     /// Scheduling-event counts accumulated over every simulation run
-    /// through this scratch since creation (or the last
-    /// [`SimScratch::reset_stats`]).
+    /// through this scratch since creation.
     #[must_use]
     pub fn stats(&self) -> SimStats {
         self.stats
-    }
-
-    /// Resets the accumulated [`SimStats`] to zero.
-    pub fn reset_stats(&mut self) {
-        self.stats = SimStats::default();
     }
 }
 
@@ -701,7 +695,7 @@ mod tests {
         // A genuinely preempted job: lo (C=3 T=10, prio 1) vs hi (C=2 T=4,
         // prio 0). lo runs [2,4), is suspended by hi's release at 4, and
         // resumes later; the horizon (9) cuts hi's third job mid-execution.
-        scratch.reset_stats();
+        let mut scratch = SimScratch::new();
         assert_eq!(scratch.stats(), SimStats::default());
         let tasks = vec![task("hi", 2, 4, 0, 0), task("lo", 3, 10, 0, 1)];
         simulate_with_scratch(

@@ -45,7 +45,6 @@ pub mod cdf;
 pub mod detection;
 pub mod engine;
 pub mod rng;
-pub mod stats;
 pub mod trace;
 pub mod workload;
 
@@ -55,6 +54,5 @@ pub use detection::{detection_times, detection_times_online, DetectionOutcome, O
 pub use engine::{
     simulate, simulate_with, simulate_with_scratch, SimConfig, SimObserver, SimScratch, SimStats,
 };
-pub use stats::{measured_core_utilization, response_profiles, ResponseProfile};
 pub use trace::{JobRecord, Trace};
 pub use workload::{simulation_tasks, SimTask, TaskKind};

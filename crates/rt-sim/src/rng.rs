@@ -28,12 +28,6 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    /// Uniform `f64` in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        // 53 random mantissa bits.
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// Uniform integer in `[0, bound)`.
     ///
     /// # Panics
@@ -44,16 +38,6 @@ impl SplitMix64 {
         // Multiply-shift bounded generation (Lemire); bias is negligible for
         // the bounds used here and determinism is what matters.
         ((u128::from(self.next_u64()) * u128::from(bound)) >> 64) as u64
-    }
-
-    /// Uniform integer in `[lo, hi]` (inclusive).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn next_range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "empty range [{lo}, {hi}]");
-        lo + self.next_below(hi - lo + 1)
     }
 }
 
@@ -79,27 +63,14 @@ mod tests {
     }
 
     #[test]
-    fn f64_samples_are_in_unit_interval_and_spread_out() {
-        let mut rng = SplitMix64::new(7);
-        let samples: Vec<f64> = (0..10_000).map(|_| rng.next_f64()).collect();
-        assert!(samples.iter().all(|&x| (0.0..1.0).contains(&x)));
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        assert!((mean - 0.5).abs() < 0.02, "mean {mean} too far from 0.5");
-        let below_quarter = samples.iter().filter(|&&x| x < 0.25).count();
-        assert!((below_quarter as f64 / samples.len() as f64 - 0.25).abs() < 0.03);
-    }
-
-    #[test]
     fn bounded_generation_respects_bounds() {
         let mut rng = SplitMix64::new(99);
         for _ in 0..1000 {
             let v = rng.next_below(10);
             assert!(v < 10);
-            let r = rng.next_range(5, 7);
-            assert!((5..=7).contains(&r));
         }
-        // Degenerate range.
-        assert_eq!(rng.next_range(3, 3), 3);
+        // Degenerate bound.
+        assert_eq!(rng.next_below(1), 0);
     }
 
     #[test]

@@ -18,26 +18,6 @@ pub fn uniform_period_ms<R: Rng + ?Sized>(min_ms: u64, max_ms: u64, rng: &mut R)
     Time::from_millis(rng.gen_range(min_ms..=max_ms))
 }
 
-/// Draws a period log-uniformly from `[min, max]` milliseconds: each order of
-/// magnitude is equally likely, which is the distribution recommended by
-/// Emberson et al. for realistic rate spreads.
-///
-/// # Panics
-///
-/// Panics if `min > max` or `min` is zero.
-#[must_use]
-pub fn log_uniform_period_ms<R: Rng + ?Sized>(min_ms: u64, max_ms: u64, rng: &mut R) -> Time {
-    assert!(min_ms > 0, "periods must be positive");
-    assert!(min_ms <= max_ms, "empty period range [{min_ms}, {max_ms}]");
-    if min_ms == max_ms {
-        return Time::from_millis(min_ms);
-    }
-    let lo = (min_ms as f64).ln();
-    let hi = (max_ms as f64).ln();
-    let sample = (lo + rng.gen::<f64>() * (hi - lo)).exp();
-    Time::from_millis((sample.round() as u64).clamp(min_ms, max_ms))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,26 +46,9 @@ mod tests {
     }
 
     #[test]
-    fn log_uniform_periods_stay_in_range_and_skew_low() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let samples: Vec<u64> = (0..2000)
-            .map(|_| log_uniform_period_ms(10, 1000, &mut rng).as_millis())
-            .collect();
-        assert!(samples.iter().all(|&p| (10..=1000).contains(&p)));
-        // Half the mass lies below the geometric mean (100 ms), far below the
-        // arithmetic midpoint.
-        let below = samples.iter().filter(|&&p| p <= 100).count();
-        assert!((below as f64 / samples.len() as f64 - 0.5).abs() < 0.06);
-    }
-
-    #[test]
     fn degenerate_range_returns_the_single_value() {
         let mut rng = StdRng::seed_from_u64(4);
         assert_eq!(uniform_period_ms(50, 50, &mut rng), Time::from_millis(50));
-        assert_eq!(
-            log_uniform_period_ms(50, 50, &mut rng),
-            Time::from_millis(50)
-        );
     }
 
     #[test]

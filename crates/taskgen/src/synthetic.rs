@@ -62,15 +62,6 @@ impl SyntheticConfig {
             min_wcet: Time::from_micros(10),
         }
     }
-
-    /// Utilisation sweep of the paper: `0.025 M, 0.05 M, …, 0.975 M`
-    /// (39 points).
-    #[must_use]
-    pub fn utilization_sweep(&self) -> Vec<f64> {
-        (1..=39)
-            .map(|i| 0.025 * i as f64 * self.cores as f64)
-            .collect()
-    }
 }
 
 fn split_utilization<R: Rng + ?Sized>(total: f64, share: f64, rng: &mut R) -> (f64, f64) {
@@ -164,10 +155,6 @@ mod tests {
         assert_eq!(cfg.security_period_ms, (1000, 3000));
         assert_eq!(cfg.max_period_factor, 10);
         assert!((cfg.security_share - 0.3).abs() < 1e-12);
-        let sweep = cfg.utilization_sweep();
-        assert_eq!(sweep.len(), 39);
-        assert!((sweep[0] - 0.1).abs() < 1e-9);
-        assert!((sweep[38] - 3.9).abs() < 1e-9);
     }
 
     #[test]

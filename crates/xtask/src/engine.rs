@@ -228,10 +228,7 @@ mod tests {
             classify("crates/rt-obs/tests/registry_merge.rs"),
             FileKind::Test
         );
-        assert_eq!(
-            classify("crates/bench/benches/dse_sweep.rs"),
-            FileKind::Bench
-        );
+        assert_eq!(classify("crates/bench/tests/fig_cli.rs"), FileKind::Test);
         assert_eq!(classify("examples/quickstart.rs"), FileKind::Example);
     }
 }

@@ -16,7 +16,7 @@ pub enum Rule {
     /// Nondeterministic iteration: `HashMap`/`HashSet` on an output path.
     D001,
     /// Wall-clock confinement: `Instant::now` / `SystemTime` outside the
-    /// observability/bench/CLI boundary.
+    /// observability crate and the bin/bench/test targets.
     D002,
     /// Relaxed-atomics audit: `Ordering::Relaxed` without a verdict.
     D003,
@@ -75,7 +75,7 @@ impl Rule {
             }
             Rule::D002 => {
                 "wall-clock reads in evaluation code can leak timing into outcome bytes; \
-                 clocks belong to rt-obs, benches, shims and CLI/bin targets only"
+                 clocks belong to rt-obs and to bin, bench and test targets only"
             }
             Rule::D003 => {
                 "Ordering::Relaxed is correct only when no cross-thread data handoff \
@@ -149,7 +149,7 @@ const D001_SCOPE: &[&str] = &[
 ];
 
 /// D002/D003 boundary: crates that own wall-clock / relaxed atomics.
-const CLOCK_CRATES: &[&str] = &["crates/rt-obs/", "crates/bench/", "crates/shims/"];
+const CLOCK_CRATES: &[&str] = &["crates/rt-obs/"];
 const RELAXED_EXEMPT: &[&str] = &["crates/rt-obs/"];
 
 /// D004 exemptions: shims implement panicking third-party APIs verbatim.

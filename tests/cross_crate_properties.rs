@@ -2,8 +2,11 @@
 //! allocated by `hydra-core`, executed by `rt-sim`, must satisfy the
 //! system-level invariants the analytical crates promise.
 
+use hydra_repro::gen::generate_problem_seeded;
 use hydra_repro::gen::synthetic::{generate_problem, SyntheticConfig};
-use hydra_repro::hydra::allocator::{Allocator, HydraAllocator, SingleCoreAllocator};
+use hydra_repro::hydra::allocator::{
+    Allocator, HydraAllocator, OptimalAllocator, SearchStats, SingleCoreAllocator,
+};
 use hydra_repro::rt::Time;
 use hydra_repro::sim::attack::AttackScenario;
 use hydra_repro::sim::detection::{detection_times, DetectionOutcome};
@@ -108,4 +111,27 @@ proptest! {
             }
         }
     }
+}
+
+#[test]
+fn branch_and_bound_prunes_most_of_the_fig3_assignment_space() {
+    // The Fig. 3-style grid: 2–6 security tasks at half load on 2 and 4
+    // cores, 6 seeded trials each.
+    let allocator = OptimalAllocator::default();
+    let mut stats = SearchStats::default();
+    for cores in [2usize, 4] {
+        let mut config = SyntheticConfig::paper_default(cores);
+        config.security_tasks = (2, 6);
+        for trial in 0..6u64 {
+            let util = 0.5 * cores as f64;
+            let problem = generate_problem_seeded(&config, util, 2018, trial * 7 + cores as u64);
+            if let Ok((_, s)) = allocator.allocate_with_stats(&problem) {
+                stats.visited += s.visited;
+                stats.pruned += s.pruned;
+                stats.total += s.total;
+            }
+        }
+    }
+    assert!(stats.total > 0);
+    assert!(stats.prune_ratio() >= 0.5, "{stats:?}");
 }

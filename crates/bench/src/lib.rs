@@ -103,9 +103,9 @@ impl CliOptions {
     /// # Errors
     ///
     /// Returns a message naming the offending argument for an unknown,
-    /// unhonoured or repeated option, a missing value, or a value that is
-    /// not a positive integer (`--trials`, each `--cores` entry) or a `u64`
-    /// (`--seed`).
+    /// unhonoured or repeated option, a missing value, a value that is not
+    /// a positive integer (`--trials`, each `--cores` entry) or a `u64`
+    /// (`--seed`), or a repeated `--cores` entry.
     pub fn parse<I, S>(args: I, honoured: &[CliFlag]) -> Result<Self, String>
     where
         I: IntoIterator<Item = S>,
@@ -147,7 +147,13 @@ impl CliOptions {
                 CliFlag::Cores => {
                     let value = value()?;
                     let cores: Option<Vec<usize>> = value.split(',').map(positive).collect();
-                    options.cores = Some(cores.ok_or_else(|| invalid(value))?);
+                    let cores = cores.ok_or_else(|| invalid(value))?;
+                    // The engine refuses a repeated core count: every task
+                    // set of that count would run and be counted twice.
+                    if let Some(i) = (1..cores.len()).find(|&i| cores[..i].contains(&cores[i])) {
+                        return Err(format!("{arg} lists {} twice", cores[i]));
+                    }
+                    options.cores = Some(cores);
                 }
                 CliFlag::Out => options.output_dir = Some(value()?.to_owned()),
             }
@@ -217,6 +223,7 @@ mod tests {
             refused(&["--cores", "2,,4"], all),
             "invalid value for --cores: 2,,4"
         );
+        assert_eq!(refused(&["--cores", "2,4,2"], all), "--cores lists 2 twice");
         assert_eq!(
             refused(&["--seed", "-1"], all),
             "invalid value for --seed: -1"

@@ -8,6 +8,7 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use rt_dse::cli::Args;
 use rt_dse::MemoStore;
 use rt_dse_serve::{Server, ServerConfig};
 
@@ -26,6 +27,10 @@ OPTIONS:
                           jobs are answered from disk
     --help                show this message
 
+A command-line error (an unknown, repeated or malformed option, or
+--workers 0) exits 2 before anything binds; a bind or store failure
+exits 1.
+
 ENDPOINTS:
     GET  /                endpoint index
     GET  /healthz         liveness probe
@@ -39,38 +44,44 @@ ENDPOINTS:
     POST /v1/shutdown     refuse new work, drain the queue, exit
 ";
 
-fn value_of<'a>(argv: &'a [String], key: &str) -> Option<&'a str> {
-    argv.iter()
-        .position(|a| a == key)
-        .and_then(|i| argv.get(i + 1))
-        .map(String::as_str)
+/// `dse-serve`'s options, checked before anything binds or opens.
+struct Options {
+    addr: String,
+    workers: usize,
+    threads_per_job: usize,
+    store: Option<String>,
 }
 
-fn parsed<T: std::str::FromStr>(argv: &[String], key: &str, default: T) -> Result<T, String> {
-    match value_of(argv, key) {
-        None => Ok(default),
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| format!("invalid value for {key}: {raw}")),
+impl Options {
+    /// Reads and checks the command line; any error here exits 2.
+    fn parse(args: &Args) -> Result<Self, String> {
+        args.validate()?;
+        let workers = args.parsed("--workers")?.unwrap_or(2);
+        if workers == 0 {
+            return Err("--workers must be at least 1".to_owned());
+        }
+        Ok(Options {
+            addr: args
+                .value_of("--addr")
+                .unwrap_or("127.0.0.1:7878")
+                .to_owned(),
+            workers,
+            threads_per_job: args.parsed("--threads-per-job")?.unwrap_or(0),
+            store: args.value_of("--store").map(str::to_owned),
+        })
     }
 }
 
-fn run(argv: &[String]) -> Result<(), String> {
-    if argv
-        .iter()
-        .any(|a| a == "--help" || a == "-h" || a == "help")
-    {
-        print!("{USAGE}");
-        return Ok(());
-    }
-    let addr = value_of(argv, "--addr")
-        .unwrap_or("127.0.0.1:7878")
-        .to_owned();
-    let workers = parsed(argv, "--workers", 2)?;
-    let threads_per_job = parsed(argv, "--threads-per-job", 0)?;
-    let store = match value_of(argv, "--store") {
+fn run(options: Options) -> Result<(), String> {
+    let Options {
+        addr,
+        workers,
+        threads_per_job,
+        store,
+    } = options;
+    let store = match store {
         Some(dir) => Some(Arc::new(
-            MemoStore::open(dir).map_err(|e| format!("cannot open memo store {dir}: {e}"))?,
+            MemoStore::open(&dir).map_err(|e| format!("cannot open memo store {dir}: {e}"))?,
         )),
         None => None,
     };
@@ -102,8 +113,19 @@ fn run(argv: &[String]) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    match run(&argv) {
+    let args = Args::new(USAGE, std::env::args().skip(1));
+    if args.help_requested() {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let options = match Options::parse(&args) {
+        Ok(options) => options,
+        Err(message) => {
+            eprintln!("error: {message}");
+            return ExitCode::from(2);
+        }
+    };
+    match run(options) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("error: {message}");

@@ -2,15 +2,16 @@
 //! JSONL streams out.
 //!
 //! A request body is one JSON object whose fields mirror the `dse sweep`
-//! CLI flags one-for-one — same names (modulo `-`/`_`), same defaults, same
-//! validation — so a request and a CLI invocation describing the same sweep
-//! produce **byte-identical** JSONL. Unknown and duplicate fields are
-//! rejected rather than ignored: a typo'd axis name must not silently run
-//! the default sweep. A spec the engine cannot honour is refused by the
-//! same [`ScenarioSpec::validate`] the CLI applies.
+//! options one-for-one: the same names modulo `-`/`_` (with one exception,
+//! `period_policies` is `--period-policy`). Both surfaces read their syntax
+//! into [`SpecFields`] and build the spec through the one
+//! [`SpecFields::into_spec`], so they share every default and input rule
+//! and refuse bad input with the same message, and a request and a CLI
+//! invocation describing the same sweep produce **byte-identical** JSONL.
+//! Unknown and duplicate fields are rejected rather than ignored: a typo'd
+//! axis name must not silently run the default sweep.
 
 use rt_dse::prelude::*;
-use rt_dse::Time;
 
 use crate::json::Json;
 
@@ -84,9 +85,9 @@ fn want_list<T>(
 ///
 /// # Errors
 ///
-/// A human-readable reason: unknown field, wrong type, a value outside
-/// the same bounds the CLI enforces, or a spec
-/// [`ScenarioSpec::validate`] refuses.
+/// A human-readable reason: an unknown field, a value of the wrong type,
+/// or whatever [`SpecFields::into_spec`] refuses (the same message the
+/// CLI prints).
 pub fn parse_request(doc: &Json) -> Result<SweepRequest, String> {
     let Json::Obj(members) = doc else {
         return Err("the request body must be a JSON object".to_owned());
@@ -100,125 +101,31 @@ pub fn parse_request(doc: &Json) -> Result<SweepRequest, String> {
         }
     }
     let get = |key: &str| doc.get(key).unwrap_or(&Json::Null);
-
-    let workload = match want_str(get("workload"), "workload")?.unwrap_or("synthetic") {
-        "synthetic" => {
-            let mut overrides = SyntheticOverrides::default();
-            if let Some(range) =
-                want_list(get("sec_tasks"), "sec_tasks", "integers", Json::as_usize)?
-            {
-                let [lo, hi] = range[..] else {
-                    return Err("\"sec_tasks\" expects [lo, hi]".to_owned());
-                };
-                if lo == 0 || lo > hi {
-                    return Err(format!("\"sec_tasks\" range [{lo}, {hi}] is empty or zero"));
-                }
-                overrides.security_tasks = Some((lo, hi));
-            }
-            Workload::Synthetic(overrides)
-        }
-        "uav" => Workload::CaseStudyUav,
-        other => return Err(format!("unknown workload: {other}")),
+    let text = |key: &str| want_str(get(key), key).map(|s| s.map(str::to_owned));
+    let count = |key: &str| want_usize(get(key), key);
+    let counts = |key: &str| want_list(get(key), key, "integers", Json::as_usize);
+    let labels = |key: &str| want_list(get(key), key, "strings", |v| v.as_str().map(str::to_owned));
+    let fields = SpecFields {
+        name: text("name")?,
+        workload: text("workload")?,
+        eval: text("eval")?,
+        horizon: want_u64(get("horizon"), "horizon")?,
+        attacks: count("attacks")?,
+        cores: counts("cores")?,
+        util_steps: count("util_steps")?,
+        utils: want_list(get("utils"), "utils", "numbers", Json::as_f64)?,
+        allocators: labels("allocators")?,
+        period_policies: labels("period_policies")?,
+        trials: count("trials")?,
+        seed: want_u64(get("seed"), "seed")?,
+        sec_tasks: counts("sec_tasks")?,
+        sample: count("sample")?,
+        explore: text("explore")?,
+        refine_budget: count("refine_budget")?,
     };
-
-    let evaluation = match want_str(get("eval"), "eval")?.unwrap_or("allocate") {
-        "allocate" => Evaluation::Allocate,
-        "detection" => Evaluation::Detection {
-            horizon: Time::from_secs(want_u64(get("horizon"), "horizon")?.unwrap_or(120)),
-            attacks: want_usize(get("attacks"), "attacks")?.unwrap_or(100),
-        },
-        other => return Err(format!("unknown evaluation: {other}")),
-    };
-
-    let utilizations = if matches!(workload, Workload::CaseStudyUav) {
-        UtilizationGrid::NotApplicable
-    } else if let Some(fractions) = want_list(get("utils"), "utils", "numbers", Json::as_f64)? {
-        if fractions.iter().any(|f| !(*f > 0.0 && *f <= 1.0)) {
-            return Err("\"utils\" fractions must lie in (0, 1]".to_owned());
-        }
-        UtilizationGrid::Fractions(fractions)
-    } else {
-        UtilizationGrid::NormalizedSteps(want_usize(get("util_steps"), "util_steps")?.unwrap_or(13))
-    };
-
-    let allocators = match want_list(get("allocators"), "allocators", "strings", |v| {
-        v.as_str().map(str::to_owned)
-    })? {
-        None => vec![
-            AllocatorKind::Hydra,
-            AllocatorKind::SingleCore,
-            AllocatorKind::NpHydra,
-        ],
-        Some(labels) => labels
-            .iter()
-            .map(|label| {
-                AllocatorKind::parse(label).ok_or_else(|| format!("unknown allocator: {label}"))
-            })
-            .collect::<Result<Vec<_>, String>>()?,
-    };
-    if allocators.is_empty() {
-        return Err("at least one allocator is required".to_owned());
-    }
-
-    let period_policies =
-        match want_list(get("period_policies"), "period_policies", "strings", |v| {
-            v.as_str().map(str::to_owned)
-        })? {
-            None => vec![PeriodPolicy::Fixed],
-            Some(labels) => labels
-                .iter()
-                .map(|label| {
-                    PeriodPolicy::parse(label)
-                        .ok_or_else(|| format!("unknown period policy: {label}"))
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-        };
-    if period_policies.is_empty() {
-        return Err("at least one period policy is required".to_owned());
-    }
-
-    let expansion = match want_usize(get("sample"), "sample")? {
-        Some(n) => Expansion::Sampled(n),
-        None => Expansion::Cartesian,
-    };
-
-    let cores = want_list(get("cores"), "cores", "integers", Json::as_usize)?
-        .unwrap_or_else(|| vec![2, 4, 8]);
-    if cores.is_empty() || cores.contains(&0) {
-        return Err("\"cores\" requires one or more core counts >= 1".to_owned());
-    }
-
-    let refine_budget = want_usize(get("refine_budget"), "refine_budget")?;
-    let explore = match want_str(get("explore"), "explore")?.unwrap_or("exhaustive") {
-        "exhaustive" => {
-            if refine_budget.is_some() {
-                return Err(
-                    "\"refine_budget\" only applies to the frontier explore mode".to_owned(),
-                );
-            }
-            ExploreMode::Exhaustive
-        }
-        "frontier" => ExploreMode::Frontier(FrontierConfig {
-            refine_budget: refine_budget.unwrap_or(FrontierConfig::default().refine_budget),
-        }),
-        other => return Err(format!("unknown explore mode: {other}")),
-    };
-
-    let spec = ScenarioSpec {
-        name: want_str(get("name"), "name")?.unwrap_or("sweep").to_owned(),
-        workload,
-        evaluation,
-        cores,
-        utilizations,
-        allocators,
-        period_policies,
-        trials: want_usize(get("trials"), "trials")?.unwrap_or(5),
-        base_seed: want_u64(get("seed"), "seed")?.unwrap_or(2018),
-        expansion,
-        explore,
-    };
-    spec.validate()?;
-    Ok(SweepRequest { spec })
+    Ok(SweepRequest {
+        spec: fields.into_spec()?,
+    })
 }
 
 #[cfg(test)]
@@ -308,9 +215,57 @@ mod tests {
             ),
             (
                 r#"{"refine_budget": 4}"#,
-                "only applies to the frontier explore mode",
+                "refine_budget only applies to explore frontier",
             ),
             (r#"[1]"#, "must be a JSON object"),
+            (
+                r#"{"workload": "uav", "eval": "detection", "horizon": 0}"#,
+                "horizon must be greater than 0",
+            ),
+            (r#"{"cores": [2, 2]}"#, "cores lists 2 twice"),
+            (
+                r#"{"allocators": ["hydra", "hydra"]}"#,
+                "allocators lists hydra twice",
+            ),
+            (
+                r#"{"period_policies": ["fixed", "fixed"]}"#,
+                "period_policies lists fixed twice",
+            ),
+            (r#"{"utils": [0.5, 0.5]}"#, "utils lists 0.5 twice"),
+            (r#"{"util_steps": 0}"#, "util_steps must be at least 1"),
+            (r#"{"sample": 0}"#, "sample must be at least 1"),
+            (
+                r#"{"utils": []}"#,
+                "utils must list at least one utilization",
+            ),
+            (
+                r#"{"eval": "detection", "attacks": 0}"#,
+                "attacks must be at least 1",
+            ),
+            (
+                r#"{"utils": [0.5], "util_steps": 3}"#,
+                "utils cannot be combined with util_steps",
+            ),
+            (
+                r#"{"horizon": 60}"#,
+                "horizon only applies to eval detection",
+            ),
+            (
+                r#"{"attacks": 5}"#,
+                "attacks only applies to eval detection",
+            ),
+            (
+                r#"{"workload": "uav", "sec_tasks": [2, 6]}"#,
+                "sec_tasks only applies to workload synthetic",
+            ),
+            (
+                r#"{"workload": "uav", "utils": [0.5]}"#,
+                "utils only applies to workload synthetic",
+            ),
+            (
+                r#"{"workload": "uav", "util_steps": 3}"#,
+                "util_steps only applies to workload synthetic",
+            ),
         ] {
             let doc = json::parse(body).expect("valid json");
             let err = parse_request(&doc).expect_err("must be rejected");

@@ -148,6 +148,40 @@ fn health_index_and_404s() {
 }
 
 #[test]
+fn a_refused_spec_never_reaches_a_runner() {
+    // A zero detection horizon used to be accepted and then panic the
+    // runner that took it; with one runner, no later job would ever run.
+    let (addr, _server) = start_server(1, None);
+    let zero_horizon =
+        r#"{"workload": "uav", "eval": "detection", "horizon": 0, "cores": [2], "trials": 1}"#;
+    let (status, body) = exchange(addr, "POST", "/v1/sweep", zero_horizon);
+    assert_eq!(status, 400);
+    assert_eq!(
+        json_of(&body).get("error").and_then(json::Json::as_str),
+        Some("horizon must be greater than 0")
+    );
+
+    // The runner is still there: the next valid job runs to the end (the
+    // client's read timeout fails the test instead of waiting forever).
+    let mut stream = send_request(addr, "POST", "/v1/sweep", MINI_SWEEP);
+    let (status, headers) = read_head(&mut stream);
+    assert_eq!(status, 200);
+    let id: u64 = header(&headers, "x-job-id")
+        .and_then(|v| v.parse().ok())
+        .expect("X-Job-Id header names the job");
+    let mut raw = Vec::new();
+    stream
+        .read_to_end(&mut raw)
+        .expect("the job streams to its end");
+    http::dechunk(&raw).expect("terminated cleanly");
+    let (_, body) = exchange(addr, "GET", &format!("/v1/jobs/{id}"), "");
+    assert_eq!(
+        json_of(&body).get("state").and_then(json::Json::as_str),
+        Some("done")
+    );
+}
+
+#[test]
 fn streamed_jsonl_is_byte_identical_to_the_embedded_engine() {
     let (addr, _server) = start_server(2, None);
     let mut stream = send_request(addr, "POST", "/v1/sweep", MINI_SWEEP);

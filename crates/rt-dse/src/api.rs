@@ -531,6 +531,22 @@ mod tests {
         uav.explore = ExploreMode::Frontier(FrontierConfig::default());
         let mut no_trials = tiny_spec();
         no_trials.trials = 0;
+        let no_horizon = ScenarioSpec::uav_detection("uav", 0, 5);
+        let no_attacks = ScenarioSpec::uav_detection("uav", 20, 0);
+        let mut repeated_cores = tiny_spec();
+        repeated_cores.cores = vec![2, 2];
+        let mut repeated_utils = tiny_spec();
+        repeated_utils.utilizations = UtilizationGrid::Fractions(vec![0.5, 0.5]);
+        let mut repeated_allocator = tiny_spec();
+        repeated_allocator.allocators = vec![AllocatorKind::Hydra, AllocatorKind::Hydra];
+        let mut repeated_policy = tiny_spec();
+        repeated_policy.period_policies = vec![PeriodPolicy::Joint, PeriodPolicy::Joint];
+        let mut no_steps = tiny_spec();
+        no_steps.utilizations = UtilizationGrid::NormalizedSteps(0);
+        let mut no_utils = tiny_spec();
+        no_utils.utilizations = UtilizationGrid::Absolute(Vec::new());
+        let mut no_sample = tiny_spec();
+        no_sample.expansion = crate::spec::Expansion::Sampled(0);
         // Each is fine without the frontier or with a trial.
         let mut sampled = frontier.clone();
         sampled.explore = ExploreMode::Exhaustive;
@@ -541,7 +557,20 @@ mod tests {
         ] {
             assert_eq!(valid.validate(), Ok(()));
         }
-        for spec in [frontier, uav, no_trials] {
+        for spec in [
+            frontier,
+            uav,
+            no_trials,
+            no_horizon,
+            no_attacks,
+            repeated_cores,
+            repeated_utils,
+            repeated_allocator,
+            repeated_policy,
+            no_steps,
+            no_utils,
+            no_sample,
+        ] {
             let reason = spec.validate().expect_err("the spec is invalid");
             let mut sink = VecSink::new();
             let err = SweepSession::new(spec.clone())

@@ -26,6 +26,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use rt_dse::cli::Args;
 use rt_dse::obs::PHASE_CHECKPOINT;
 use rt_dse::prelude::*;
 use rt_dse::sink::{frontier_row_to_csv, summary_to_csv, FRONTIER_HEADER};
@@ -39,14 +40,14 @@ USAGE:
     dse sweep [OPTIONS]      run a sweep
     dse list-axes            print the valid values of every enumerable axis
                              (allocators and period policies, one `<axis>
-                             <value>` pair per line; `list-allocators` is an
-                             alias kept for existing scripts)
+                             <value>` pair per line)
     dse help                 show this message (also `dse sweep --help`)
 
 SWEEP OPTIONS:
     --cores A,B,...       core counts to explore            [default: 2,4,8]
     --util-steps N        N-point utilization grid per M    [default: 13]
-    --utils F1,F2,...     explicit per-core utilization fractions (overrides --util-steps)
+    --utils F1,F2,...     explicit per-core utilization fractions in (0, 1]
+                          (cannot be combined with --util-steps)
     --allocators L1,L2    schemes: hydra, singlecore, nphydra, precedence, optimal
                           (optimal is exhaustive — pair it with --cores 2 and a
                           small --sec-tasks range, e.g. 2,6, as the paper does)
@@ -77,15 +78,16 @@ SWEEP OPTIONS:
                           over the grid)                    [default: 8]
     --trials N            task sets per grid point, >= 1    [default: 5]
     --seed S              base seed                         [default: 2018]
-    --threads N           worker threads (0 = all cores)    [default: 0]
-    --serial              force single-threaded execution
-    --sample N            sample at most N points from the full grid
+    --threads N           worker threads (0 = all cores, 1 = serial)
+                                                            [default: 0]
+    --sample N            sample at most N >= 1 points from the full grid
                           (exhaustive only)
     --sec-tasks LO,HI     override the security task-count range
-    --workload KIND       synthetic | uav                   [default: synthetic]
+    --workload KIND       synthetic | uav (uav has no --utils, --util-steps
+                          or --sec-tasks)                   [default: synthetic]
     --eval KIND           allocate | detection              [default: allocate]
-    --horizon SECS        detection: simulated window       [default: 120]
-    --attacks N           detection: injected attacks       [default: 100]
+    --horizon SECS        detection only: simulated window  [default: 120]
+    --attacks N           detection only: injected attacks  [default: 100]
     --name NAME           output file stem                  [default: sweep]
     --out DIR             output directory                  [default: results/dse]
     --quiet               suppress the per-group summary table
@@ -123,256 +125,86 @@ SCALE-OUT OPTIONS:
                                                             [default: 256]
     --stop-after K        checkpoint and exit after evaluating K scenarios
                           (for time-budgeted runs and resume testing)
+
+EXIT STATUS:
+    0 on success; 2 on a command-line error (an unknown, repeated or
+    malformed option, or a spec the engine refuses), before any file is
+    written; 1 when the run fails (memo store, file I/O, or a checkpoint
+    that belongs to another sweep)
 ";
 
-/// One sweep option as its `USAGE` line declares it.
-struct UsageOption {
-    /// Whether the next argument is the option's value (`--cores A,B,...`).
-    takes_value: bool,
-    /// Whether the value may follow an `=` instead (`--progress[=SECS]`).
-    inline_value: bool,
+/// Everything `dse sweep` reads from its command line, checked before any
+/// file is touched.
+struct SweepOptions {
+    spec: ScenarioSpec,
+    threads: usize,
+    progress: Option<Duration>,
+    metrics_out: Option<PathBuf>,
+    trace_out: Option<PathBuf>,
+    store: Option<String>,
+    shard: (usize, usize),
+    resume: bool,
+    checkpoint_every: usize,
+    stop_after: Option<usize>,
+    out_dir: PathBuf,
+    quiet: bool,
 }
 
-/// Looks `name` up among the option lines of [`USAGE`] (the lines indented
-/// by exactly four spaces that start with `--`), so the help text stays the
-/// one list of options `dse sweep` accepts.
-fn usage_option(name: &str) -> Option<UsageOption> {
-    USAGE.lines().find_map(|line| {
-        let decl = line.strip_prefix("    --")?;
-        let token_len = decl.find(' ').unwrap_or(decl.len());
-        let (token, rest) = decl.split_at(token_len);
-        let (declared, inline_value) = match token.split_once("[=") {
-            Some((declared, _)) => (declared, true),
-            None => (token, false),
-        };
-        (name.strip_prefix("--")? == declared).then(|| UsageOption {
-            // A metavariable follows after exactly one space; the help
-            // column starts after several.
-            takes_value: rest.len() > 1 && !rest[1..].starts_with(' '),
-            inline_value,
+impl SweepOptions {
+    /// Reads and checks the command line; any error here exits 2.
+    fn parse(args: &Args) -> Result<Self, String> {
+        args.validate()?;
+        Ok(SweepOptions {
+            spec: args.spec_fields()?.into_spec()?,
+            threads: args.parsed("--threads")?.unwrap_or(0),
+            progress: progress(args)?,
+            metrics_out: args.value_of("--metrics-out").map(PathBuf::from),
+            trace_out: args.value_of("--trace-out").map(PathBuf::from),
+            store: args.value_of("--store").map(str::to_owned),
+            shard: shard(args)?,
+            resume: args.flag("--resume"),
+            checkpoint_every: args.parsed("--checkpoint-every")?.unwrap_or(256),
+            stop_after: args.parsed("--stop-after")?,
+            out_dir: PathBuf::from(args.value_of("--out").unwrap_or("results/dse")),
+            quiet: args.flag("--quiet"),
         })
-    })
-}
-
-struct Args(Vec<String>);
-
-impl Args {
-    /// Rejects what `dse sweep` does not understand: options missing from
-    /// [`USAGE`], repeated options, value options without a value, and
-    /// stray positional arguments.
-    fn validate(&self) -> Result<(), String> {
-        let mut seen: Vec<&str> = Vec::new();
-        let mut args = self.0.iter();
-        while let Some(arg) = args.next() {
-            if !arg.starts_with("--") {
-                return Err(format!("unexpected argument {arg}"));
-            }
-            let (name, inline) = match arg.split_once('=') {
-                Some((name, _)) => (name, true),
-                None => (arg.as_str(), false),
-            };
-            let option = usage_option(name)
-                .filter(|o| !inline || o.inline_value)
-                .ok_or_else(|| format!("unknown option {arg}"))?;
-            if seen.contains(&name) {
-                return Err(format!("duplicate option {name}"));
-            }
-            seen.push(name);
-            if option.takes_value {
-                match args.next() {
-                    Some(value) if !value.starts_with("--") => {}
-                    Some(flag) => return Err(format!("option {name} expects a value, got {flag}")),
-                    None => return Err(format!("option {name} expects a value")),
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn help_requested(&self) -> bool {
-        self.0.iter().any(|a| a == "--help" || a == "-h")
-    }
-
-    fn value_of(&self, key: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .position(|a| a == key)
-            .and_then(|i| self.0.get(i + 1))
-            .map(String::as_str)
-    }
-
-    fn flag(&self, key: &str) -> bool {
-        self.0.iter().any(|a| a == key)
-    }
-
-    fn parsed<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
-        match self.value_of(key) {
-            None => Ok(None),
-            Some(raw) => raw
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("invalid value for {key}: {raw}")),
-        }
-    }
-
-    fn parsed_list<T: std::str::FromStr>(&self, key: &str) -> Result<Option<Vec<T>>, String> {
-        match self.value_of(key) {
-            None => Ok(None),
-            Some(raw) => raw
-                .split(',')
-                .map(|p| p.trim().parse().map_err(|_| format!("invalid {key}: {p}")))
-                .collect::<Result<Vec<T>, String>>()
-                .map(Some),
-        }
-    }
-
-    /// `--progress` / `--progress=SECS` — the heartbeat interval, if any.
-    fn progress(&self) -> Result<Option<Duration>, String> {
-        for arg in &self.0 {
-            if arg == "--progress" {
-                return Ok(Some(Duration::from_secs(2)));
-            }
-            if let Some(raw) = arg.strip_prefix("--progress=") {
-                let secs: f64 = raw
-                    .parse()
-                    .map_err(|_| format!("invalid value for --progress: {raw}"))?;
-                if secs <= 0.0 || !secs.is_finite() {
-                    return Err(format!("--progress interval must be positive, got {raw}"));
-                }
-                return Ok(Some(Duration::from_secs_f64(secs)));
-            }
-        }
-        Ok(None)
-    }
-
-    fn shard(&self) -> Result<(usize, usize), String> {
-        let Some(raw) = self.value_of("--shard") else {
-            return Ok((1, 1));
-        };
-        let parse = |what: &str, v: &str| {
-            v.parse::<usize>()
-                .map_err(|_| format!("invalid shard {what} in --shard {raw}"))
-        };
-        let (index, count) = raw
-            .split_once('/')
-            .ok_or_else(|| format!("--shard expects I/N, got {raw}"))?;
-        let (index, count) = (parse("index", index)?, parse("count", count)?);
-        if count == 0 || index == 0 || index > count {
-            return Err(format!("--shard requires 1 <= I <= N, got {raw}"));
-        }
-        Ok((index, count))
     }
 }
 
-fn build_spec(args: &Args) -> Result<ScenarioSpec, String> {
-    let workload = match args.value_of("--workload").unwrap_or("synthetic") {
-        "synthetic" => {
-            let mut overrides = SyntheticOverrides::default();
-            if let Some(range) = args.parsed_list::<usize>("--sec-tasks")? {
-                let [lo, hi] = range[..] else {
-                    return Err("--sec-tasks expects LO,HI".to_owned());
-                };
-                if lo == 0 || lo > hi {
-                    return Err(format!("--sec-tasks range [{lo}, {hi}] is empty or zero"));
-                }
-                overrides.security_tasks = Some((lo, hi));
-            }
-            Workload::Synthetic(overrides)
-        }
-        "uav" => Workload::CaseStudyUav,
-        other => return Err(format!("unknown workload: {other}")),
-    };
-
-    let evaluation = match args.value_of("--eval").unwrap_or("allocate") {
-        "allocate" => Evaluation::Allocate,
-        "detection" => Evaluation::Detection {
-            horizon: rt_dse::Time::from_secs(args.parsed("--horizon")?.unwrap_or(120)),
-            attacks: args.parsed("--attacks")?.unwrap_or(100),
-        },
-        other => return Err(format!("unknown evaluation: {other}")),
-    };
-
-    let utilizations = if matches!(workload, Workload::CaseStudyUav) {
-        UtilizationGrid::NotApplicable
-    } else if let Some(fractions) = args.parsed_list::<f64>("--utils")? {
-        if fractions.iter().any(|f| !(*f > 0.0 && *f <= 1.0)) {
-            return Err("--utils fractions must lie in (0, 1]".to_owned());
-        }
-        UtilizationGrid::Fractions(fractions)
-    } else {
-        UtilizationGrid::NormalizedSteps(args.parsed("--util-steps")?.unwrap_or(13))
-    };
-
-    let allocators = match args.value_of("--allocators") {
-        None => vec![
-            AllocatorKind::Hydra,
-            AllocatorKind::SingleCore,
-            AllocatorKind::NpHydra,
-        ],
-        Some(raw) => raw
-            .split(',')
-            .map(|label| {
-                AllocatorKind::parse(label).ok_or_else(|| format!("unknown allocator: {label}"))
-            })
-            .collect::<Result<Vec<_>, String>>()?,
-    };
-    if allocators.is_empty() {
-        return Err("at least one allocator is required".to_owned());
+/// `--progress` / `--progress=SECS` — the heartbeat interval, if any.
+fn progress(args: &Args) -> Result<Option<Duration>, String> {
+    if args.flag("--progress") {
+        return Ok(Some(Duration::from_secs(2)));
     }
-
-    let period_policies = match args.value_of("--period-policy") {
-        None => vec![PeriodPolicy::Fixed],
-        Some(raw) => raw
-            .split(',')
-            .map(|label| {
-                PeriodPolicy::parse(label).ok_or_else(|| format!("unknown period policy: {label}"))
-            })
-            .collect::<Result<Vec<_>, String>>()?,
+    let Some(raw) = args.inline_value("--progress") else {
+        return Ok(None);
     };
-    if period_policies.is_empty() {
-        return Err("at least one period policy is required".to_owned());
+    let secs: f64 = raw
+        .parse()
+        .map_err(|_| format!("invalid value for --progress: {raw}"))?;
+    if secs <= 0.0 || !secs.is_finite() {
+        return Err(format!("--progress interval must be positive, got {raw}"));
     }
+    Ok(Some(Duration::from_secs_f64(secs)))
+}
 
-    let expansion = match args.parsed("--sample")? {
-        Some(n) => Expansion::Sampled(n),
-        None => Expansion::Cartesian,
+/// `--shard I/N` (`1/1` when absent).
+fn shard(args: &Args) -> Result<(usize, usize), String> {
+    let Some(raw) = args.value_of("--shard") else {
+        return Ok((1, 1));
     };
-
-    let cores: Vec<usize> = args
-        .parsed_list("--cores")?
-        .unwrap_or_else(|| vec![2, 4, 8]);
-    if cores.is_empty() || cores.contains(&0) {
-        return Err("--cores requires one or more core counts >= 1".to_owned());
+    let parse = |what: &str, v: &str| {
+        v.parse::<usize>()
+            .map_err(|_| format!("invalid shard {what} in --shard {raw}"))
+    };
+    let (index, count) = raw
+        .split_once('/')
+        .ok_or_else(|| format!("--shard expects I/N, got {raw}"))?;
+    let (index, count) = (parse("index", index)?, parse("count", count)?);
+    if count == 0 || index == 0 || index > count {
+        return Err(format!("--shard requires 1 <= I <= N, got {raw}"));
     }
-
-    let explore = match args.value_of("--explore").unwrap_or("exhaustive") {
-        "exhaustive" => {
-            if args.value_of("--refine-budget").is_some() {
-                return Err("--refine-budget requires --explore frontier".to_owned());
-            }
-            ExploreMode::Exhaustive
-        }
-        "frontier" => ExploreMode::Frontier(FrontierConfig {
-            refine_budget: args.parsed("--refine-budget")?.unwrap_or(8),
-        }),
-        other => return Err(format!("unknown explore mode: {other}")),
-    };
-
-    let spec = ScenarioSpec {
-        name: args.value_of("--name").unwrap_or("sweep").to_owned(),
-        workload,
-        evaluation,
-        cores,
-        utilizations,
-        allocators,
-        period_policies,
-        trials: args.parsed("--trials")?.unwrap_or(5),
-        base_seed: args.parsed("--seed")?.unwrap_or(2018),
-        expansion,
-        explore,
-    };
-    spec.validate()?;
-    Ok(spec)
+    Ok((index, count))
 }
 
 fn print_summary(rows: &[rt_dse::AggregateRow]) {
@@ -621,23 +453,28 @@ fn run_report_json(
     )
 }
 
-fn run_sweep(args: &Args) -> Result<(), String> {
-    let spec = build_spec(args)?;
-    let progress = args.progress()?;
-    let metrics_out = args.value_of("--metrics-out").map(PathBuf::from);
-    let trace_out = args.value_of("--trace-out").map(PathBuf::from);
+fn run_sweep(options: SweepOptions) -> Result<(), String> {
+    let SweepOptions {
+        spec,
+        threads,
+        progress,
+        metrics_out,
+        trace_out,
+        store,
+        shard,
+        resume,
+        checkpoint_every,
+        stop_after,
+        out_dir,
+        quiet,
+    } = options;
     let obs = SweepObs::new(
         progress.is_some() || metrics_out.is_some(),
         trace_out.is_some(),
     );
-    let threads = if args.flag("--serial") {
-        1
-    } else {
-        args.parsed("--threads")?.unwrap_or(0)
-    };
-    let store = match args.value_of("--store") {
+    let store = match store {
         Some(dir) => Some(Arc::new(
-            MemoStore::open(dir).map_err(|e| format!("cannot open memo store {dir}: {e}"))?,
+            MemoStore::open(&dir).map_err(|e| format!("cannot open memo store {dir}: {e}"))?,
         )),
         None => None,
     };
@@ -647,10 +484,6 @@ fn run_sweep(args: &Args) -> Result<(), String> {
     if let Some(store) = &store {
         session = session.memo_store(Arc::clone(store));
     }
-    let shard = args.shard()?;
-    let resume = args.flag("--resume");
-    let checkpoint_every: usize = args.parsed("--checkpoint-every")?.unwrap_or(256);
-    let stop_after: Option<usize> = args.parsed("--stop-after")?;
 
     // The plan is fixed before any output file opens. A frontier spec's
     // plan runs the Phase-A bisection of every (cores, allocator, policy)
@@ -675,7 +508,6 @@ fn run_sweep(args: &Args) -> Result<(), String> {
     let range = plan.shard_range(shard.0, shard.1);
     let fingerprint = sweep_fingerprint(&spec, shard);
 
-    let out_dir = PathBuf::from(args.value_of("--out").unwrap_or("results/dse"));
     fs::create_dir_all(&out_dir)
         .map_err(|e| format!("could not create {}: {e}", out_dir.display()))?;
     let stem = if shard.1 > 1 {
@@ -899,7 +731,7 @@ fn run_sweep(args: &Args) -> Result<(), String> {
     }
 
     let rows = sink.agg.rows();
-    if !args.flag("--quiet") {
+    if !quiet {
         print_summary(&rows);
     }
     fs::write(&summary_path, summary_to_csv(&rows))
@@ -940,23 +772,22 @@ fn run_sweep(args: &Args) -> Result<(), String> {
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let command = argv.first().map(String::as_str).unwrap_or("help");
-    let args = Args(argv.get(1..).unwrap_or_default().to_vec());
+    let args = Args::new(USAGE, argv.iter().skip(1).cloned());
 
+    let usage_error = |message: String| {
+        eprintln!("error: {message}");
+        ExitCode::from(2)
+    };
     let result = match command {
         "sweep" if args.help_requested() => {
             print!("{USAGE}");
             Ok(())
         }
-        "sweep" => {
-            if let Err(message) = args.validate() {
-                eprintln!("error: {message}");
-                return ExitCode::from(2);
-            }
-            run_sweep(&args)
-        }
-        // `list-allocators` predates the period-policy axis; it is kept as
-        // an alias so existing scripts keep discovering valid flag values.
-        "list-axes" | "list-allocators" => {
+        "sweep" => match SweepOptions::parse(&args) {
+            Ok(options) => run_sweep(options),
+            Err(message) => return usage_error(message),
+        },
+        "list-axes" => {
             for kind in AllocatorKind::ALL {
                 println!("allocator {}", kind.label());
             }
@@ -969,7 +800,7 @@ fn main() -> ExitCode {
             print!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command: {other}\n\n{USAGE}")),
+        other => return usage_error(format!("unknown command: {other}\n\n{USAGE}")),
     };
 
     match result {

@@ -38,6 +38,10 @@
 //!   killed-run resume whose concatenated outputs are byte-identical to a
 //!   single full run (every scenario owns a deterministic seed address).
 //!
+//! [`SpecFields`] is the one way a spec enters from outside the program:
+//! the `dse` binary (through [`cli`]) and `dse-serve` fill its fields and
+//! [`SpecFields::into_spec`] applies every default and input rule.
+//!
 //! The `dse` binary exposes all of it on the command line; the
 //! `hydra-bench` figure drivers are thin [`ScenarioSpec`](spec::ScenarioSpec)
 //! definitions executed on this engine.
@@ -68,6 +72,7 @@
 pub mod agg;
 pub mod api;
 pub mod checkpoint;
+pub mod cli;
 pub mod exec;
 pub mod frontier;
 pub mod grid;
@@ -91,7 +96,7 @@ pub use scenario::{DetectionStats, Scenario, ScenarioOutcome};
 pub use sink::{CsvSink, JsonlSink, NullSink, OutcomeSink, TeeSink, VecSink};
 pub use spec::{
     AllocatorKind, Evaluation, Expansion, ExploreMode, FrontierConfig, PeriodPolicy, ScenarioSpec,
-    SyntheticOverrides, UtilizationGrid, Workload,
+    SpecFields, SyntheticOverrides, UtilizationGrid, Workload,
 };
 pub use store::MemoStore;
 
@@ -106,7 +111,7 @@ pub mod prelude {
     pub use crate::sink::{to_csv, to_jsonl, CsvSink, JsonlSink, NullSink, OutcomeSink, VecSink};
     pub use crate::spec::{
         AllocatorKind, Evaluation, Expansion, ExploreMode, FrontierConfig, PeriodPolicy,
-        ScenarioSpec, SyntheticOverrides, UtilizationGrid, Workload,
+        ScenarioSpec, SpecFields, SyntheticOverrides, UtilizationGrid, Workload,
     };
     pub use crate::store::MemoStore;
 }

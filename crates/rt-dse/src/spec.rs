@@ -11,6 +11,7 @@ use hydra_core::precedence::{table1_precedence, PrecedenceGraph};
 use hydra_core::{readapt_allocation_with_mode, JointOptions};
 use hydra_core::{Allocation, AllocationProblem, NpHydraAllocator, PrecedenceHydraAllocator};
 use rt_core::batch::BatchMode;
+use rt_core::Time;
 use taskgen::SyntheticConfig;
 
 /// The allocation schemes the sweep engine can compare.
@@ -415,7 +416,7 @@ impl ScenarioSpec {
             name: name.into(),
             workload: Workload::CaseStudyUav,
             evaluation: Evaluation::Detection {
-                horizon: rt_core::Time::from_secs(horizon_secs),
+                horizon: Time::from_secs(horizon_secs),
                 attacks,
             },
             cores: vec![2, 4, 8],
@@ -430,17 +431,53 @@ impl ScenarioSpec {
     }
 
     /// Refuses a spec the engine cannot run as written, instead of letting
-    /// it stream a wrong or empty result: zero trials, or a frontier search
-    /// that has no utilization axis to bisect or is asked to sample the
-    /// grid (the frontier plans its own points). The CLI, the server and
-    /// [`crate::SweepSession`] all apply it.
+    /// it stream a wrong, duplicated or empty result or panic mid-run: zero
+    /// trials, a value listed twice on the cores, utilization, allocator or
+    /// policy axis, an empty utilization list, zero utilization steps, a
+    /// zero sample, a detection run with no horizon or no attacks, or a
+    /// frontier search that has no utilization axis to bisect or is asked
+    /// to sample the grid (the frontier plans its own points). The CLI, the
+    /// server and [`crate::SweepSession`] all apply it.
     ///
     /// # Errors
     ///
-    /// A human-readable reason naming the offending setting.
+    /// A human-readable reason naming the offending setting by its request
+    /// key (see [`SpecFields`]).
     pub fn validate(&self) -> Result<(), String> {
         if self.trials == 0 {
             return Err("trials must be at least 1".to_owned());
+        }
+        no_repeats("cores", &self.cores, usize::to_string)?;
+        match &self.utilizations {
+            UtilizationGrid::NormalizedSteps(0) => {
+                return Err("util_steps must be at least 1".to_owned());
+            }
+            UtilizationGrid::Fractions(values) | UtilizationGrid::Absolute(values) => {
+                if values.is_empty() {
+                    return Err("utils must list at least one utilization".to_owned());
+                }
+                no_repeats("utils", values, f64::to_string)?;
+            }
+            _ => {}
+        }
+        no_repeats("allocators", &self.allocators, |kind| {
+            kind.label().to_owned()
+        })?;
+        no_repeats("period_policies", &self.period_policies, |policy| {
+            policy.label().to_owned()
+        })?;
+        if self.expansion == Expansion::Sampled(0) {
+            return Err("sample must be at least 1".to_owned());
+        }
+        if let Evaluation::Detection { horizon, attacks } = self.evaluation {
+            // The attack injector keeps a margin of half the horizon free;
+            // a zero window leaves no room and panics mid-run.
+            if horizon.is_zero() {
+                return Err("horizon must be greater than 0".to_owned());
+            }
+            if attacks == 0 {
+                return Err("attacks must be at least 1".to_owned());
+            }
         }
         if let ExploreMode::Frontier(_) = self.explore {
             if let Expansion::Sampled(_) = self.expansion {
@@ -466,6 +503,214 @@ impl ScenarioSpec {
         }
         Ok(())
     }
+}
+
+/// Refuses an axis that lists one value twice: every scenario of that value
+/// would run, and be counted, twice.
+fn no_repeats<T: PartialEq>(
+    key: &str,
+    values: &[T],
+    show: impl Fn(&T) -> String,
+) -> Result<(), String> {
+    match (1..values.len()).find(|&i| values[..i].contains(&values[i])) {
+        Some(i) => Err(format!("{key} lists {} twice", show(&values[i]))),
+        None => Ok(()),
+    }
+}
+
+/// The sixteen fields of a sweep request as they arrive from outside the
+/// program — `dse sweep` options or a `dse-serve` JSON body — each `None`
+/// when the caller left it out. The field names are the request keys; the
+/// `dse sweep` options are the same names with `-` for `_`, except that
+/// `period_policies` is `--period-policy`.
+///
+/// [`SpecFields::into_spec`] is the one place that applies the defaults and
+/// the input rules, so both surfaces build equal specs from equal input and
+/// refuse bad input with the same message. Each surface fills every field
+/// itself, so a new field does not compile until both read it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SpecFields {
+    /// Sweep name, the output file stem (default `sweep`).
+    pub name: Option<String>,
+    /// `synthetic` (the default) or `uav`.
+    pub workload: Option<String>,
+    /// `allocate` (the default) or `detection`.
+    pub eval: Option<String>,
+    /// Detection only: the simulated window in seconds (default 120).
+    pub horizon: Option<u64>,
+    /// Detection only: injected attacks per scenario (default 100).
+    pub attacks: Option<usize>,
+    /// Core counts (default 2, 4, 8).
+    pub cores: Option<Vec<usize>>,
+    /// Synthetic only: points of the per-core utilization grid (default 13).
+    pub util_steps: Option<usize>,
+    /// Synthetic only: explicit per-core utilization fractions in (0, 1],
+    /// in place of `util_steps`.
+    pub utils: Option<Vec<f64>>,
+    /// Allocator labels (default hydra, singlecore, nphydra).
+    pub allocators: Option<Vec<String>>,
+    /// Period-policy labels (default fixed).
+    pub period_policies: Option<Vec<String>>,
+    /// Task sets per grid point (default 5).
+    pub trials: Option<usize>,
+    /// Base seed (default 2018).
+    pub seed: Option<u64>,
+    /// Synthetic only: the security task-count range, `[lo, hi]`.
+    pub sec_tasks: Option<Vec<usize>>,
+    /// Sample at most this many points of the full grid.
+    pub sample: Option<usize>,
+    /// `exhaustive` (the default) or `frontier`.
+    pub explore: Option<String>,
+    /// Frontier only: refinement points per slice (default 8).
+    pub refine_budget: Option<usize>,
+}
+
+impl SpecFields {
+    /// Builds the spec: applies the defaults and the input rules, then
+    /// [`ScenarioSpec::validate`].
+    ///
+    /// # Errors
+    ///
+    /// A message naming the offending field by its request key: an unknown
+    /// label, a value out of range, a field that does not apply next to the
+    /// others (`utils` with `util_steps`, or a detection-, synthetic- or
+    /// frontier-only field without that setting), or what `validate` refuses.
+    pub fn into_spec(self) -> Result<ScenarioSpec, String> {
+        let refuse = |present: bool, key: &str, applies_to: &str| {
+            if present {
+                Err(format!("{key} only applies to {applies_to}"))
+            } else {
+                Ok(())
+            }
+        };
+        let workload = match self.workload.as_deref().unwrap_or("synthetic") {
+            "synthetic" => Workload::Synthetic(SyntheticOverrides {
+                security_tasks: match self.sec_tasks.as_deref() {
+                    None => None,
+                    Some(&[lo, hi]) if lo == 0 || lo > hi => {
+                        return Err(format!("sec_tasks range [{lo}, {hi}] is empty or zero"));
+                    }
+                    Some(&[lo, hi]) => Some((lo, hi)),
+                    Some(_) => return Err("sec_tasks expects two counts, lo and hi".to_owned()),
+                },
+                rt_tasks: None,
+            }),
+            "uav" => {
+                refuse(self.sec_tasks.is_some(), "sec_tasks", "workload synthetic")?;
+                refuse(self.utils.is_some(), "utils", "workload synthetic")?;
+                refuse(
+                    self.util_steps.is_some(),
+                    "util_steps",
+                    "workload synthetic",
+                )?;
+                Workload::CaseStudyUav
+            }
+            other => return Err(format!("unknown workload: {other}")),
+        };
+
+        let evaluation = match self.eval.as_deref().unwrap_or("allocate") {
+            "allocate" => {
+                refuse(self.horizon.is_some(), "horizon", "eval detection")?;
+                refuse(self.attacks.is_some(), "attacks", "eval detection")?;
+                Evaluation::Allocate
+            }
+            "detection" => {
+                let secs = self.horizon.unwrap_or(120);
+                Evaluation::Detection {
+                    horizon: Time::from_secs(1)
+                        .checked_mul(secs)
+                        .ok_or_else(|| format!("horizon {secs} s is out of range"))?,
+                    attacks: self.attacks.unwrap_or(100),
+                }
+            }
+            other => return Err(format!("unknown evaluation: {other}")),
+        };
+
+        let utilizations = match (workload, self.utils, self.util_steps) {
+            (Workload::CaseStudyUav, ..) => UtilizationGrid::NotApplicable,
+            (_, Some(_), Some(_)) => {
+                return Err("utils cannot be combined with util_steps".to_owned());
+            }
+            (_, Some(fractions), None) => {
+                if fractions.iter().any(|f| !(*f > 0.0 && *f <= 1.0)) {
+                    return Err("utils fractions must lie in (0, 1]".to_owned());
+                }
+                UtilizationGrid::Fractions(fractions)
+            }
+            (_, None, steps) => UtilizationGrid::NormalizedSteps(steps.unwrap_or(13)),
+        };
+
+        let cores = self.cores.unwrap_or_else(|| vec![2, 4, 8]);
+        if cores.is_empty() || cores.contains(&0) {
+            return Err("cores requires one or more core counts >= 1".to_owned());
+        }
+
+        let explore = match self.explore.as_deref().unwrap_or("exhaustive") {
+            "exhaustive" => {
+                refuse(
+                    self.refine_budget.is_some(),
+                    "refine_budget",
+                    "explore frontier",
+                )?;
+                ExploreMode::Exhaustive
+            }
+            "frontier" => ExploreMode::Frontier(FrontierConfig {
+                refine_budget: self
+                    .refine_budget
+                    .unwrap_or(FrontierConfig::default().refine_budget),
+            }),
+            other => return Err(format!("unknown explore mode: {other}")),
+        };
+
+        let spec = ScenarioSpec {
+            name: self.name.unwrap_or_else(|| "sweep".to_owned()),
+            workload,
+            evaluation,
+            cores,
+            utilizations,
+            allocators: labels(
+                self.allocators,
+                "allocator",
+                AllocatorKind::parse,
+                &[
+                    AllocatorKind::Hydra,
+                    AllocatorKind::SingleCore,
+                    AllocatorKind::NpHydra,
+                ],
+            )?,
+            period_policies: labels(
+                self.period_policies,
+                "period policy",
+                PeriodPolicy::parse,
+                &[PeriodPolicy::Fixed],
+            )?,
+            trials: self.trials.unwrap_or(5),
+            base_seed: self.seed.unwrap_or(2018),
+            expansion: self.sample.map_or(Expansion::Cartesian, Expansion::Sampled),
+            explore,
+        };
+        spec.validate()?;
+        Ok(spec)
+    }
+}
+
+/// Parses the labels of an enumerable axis (`default` when absent).
+fn labels<T: Copy>(
+    labels: Option<Vec<String>>,
+    what: &str,
+    parse: fn(&str) -> Option<T>,
+    default: &[T],
+) -> Result<Vec<T>, String> {
+    let Some(labels) = labels else {
+        return Ok(default.to_vec());
+    };
+    if labels.is_empty() {
+        return Err(format!("at least one {what} is required"));
+    }
+    labels
+        .iter()
+        .map(|label| parse(label).ok_or_else(|| format!("unknown {what}: {label}")))
+        .collect()
 }
 
 #[cfg(test)]

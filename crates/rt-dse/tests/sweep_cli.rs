@@ -1,8 +1,8 @@
 //! `dse sweep` argument handling, exercised through the real binary:
-//! input the CLI does not understand exits 2 with a named error before any
-//! file is written, a spec the engine cannot honour exits 1 the same way,
-//! `--help` prints the usage without sweeping, and a fresh run replaces old
-//! outputs without the resume diagnostics.
+//! input the CLI does not understand, a value it cannot use and a spec the
+//! engine cannot honour all exit 2 with a named error before any file is
+//! written, `--help` prints the usage without sweeping, and a fresh run
+//! replaces old outputs without the resume diagnostics.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -34,9 +34,10 @@ fn is_empty(dir: &Path) -> bool {
 #[test]
 fn malformed_arguments_exit_2_before_writing_anything() {
     let cwd = temp_dir("malformed");
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 8] = [
         (&["--thread", "4"], "unknown option --thread"),
         (&["--no-batch"], "unknown option --no-batch"),
+        (&["--serial"], "unknown option --serial"),
         (&["--bogus-flag", "1"], "unknown option --bogus-flag"),
         (
             &["--cores", "2", "--cores", "4"],
@@ -63,13 +64,19 @@ fn malformed_arguments_exit_2_before_writing_anything() {
         // swallowed flag may appear.
         assert!(is_empty(&cwd), "dse {argv:?} wrote into {}", cwd.display());
     }
+    // `list-allocators` was an alias of `list-axes`; like any unknown
+    // command it is a command-line error now.
+    let output = dse_in(&cwd, &["list-allocators"]);
+    assert_eq!(output.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&output.stderr)
+        .starts_with("error: unknown command: list-allocators\n"));
     fs::remove_dir_all(&cwd).expect("remove temp dir");
 }
 
 #[test]
-fn specs_the_planner_cannot_honour_exit_1_before_writing_anything() {
+fn specs_the_planner_cannot_honour_exit_2_before_writing_anything() {
     let cwd = temp_dir("invalid-spec");
-    let cases: [(&[&str], &str); 3] = [
+    let cases: [(&[&str], &str); 30] = [
         (
             &["--explore", "frontier", "--sample", "5"],
             "frontier exploration plans its own points and cannot sample the grid",
@@ -79,12 +86,88 @@ fn specs_the_planner_cannot_honour_exit_1_before_writing_anything() {
             "frontier exploration needs a utilization axis to bisect, and this workload has none",
         ),
         (&["--trials", "0"], "trials must be at least 1"),
+        (
+            &["--workload", "uav", "--eval", "detection", "--horizon", "0"],
+            "horizon must be greater than 0",
+        ),
+        (&["--cores", "2,2"], "cores lists 2 twice"),
+        (
+            &["--allocators", "hydra,hydra"],
+            "allocators lists hydra twice",
+        ),
+        (
+            &["--period-policy", "fixed,fixed"],
+            "period_policies lists fixed twice",
+        ),
+        (&["--utils", "0.5,0.5"], "utils lists 0.5 twice"),
+        (&["--util-steps", "0"], "util_steps must be at least 1"),
+        (&["--sample", "0"], "sample must be at least 1"),
+        (&["--utils", ""], "utils must list at least one utilization"),
+        (
+            &["--eval", "detection", "--attacks", "0"],
+            "attacks must be at least 1",
+        ),
+        (
+            &["--utils", "0.5", "--util-steps", "3"],
+            "utils cannot be combined with util_steps",
+        ),
+        (
+            &["--horizon", "60"],
+            "horizon only applies to eval detection",
+        ),
+        (
+            &["--attacks", "5"],
+            "attacks only applies to eval detection",
+        ),
+        (
+            &["--workload", "uav", "--sec-tasks", "2,6"],
+            "sec_tasks only applies to workload synthetic",
+        ),
+        (
+            &["--workload", "uav", "--utils", "0.5"],
+            "utils only applies to workload synthetic",
+        ),
+        (
+            &["--workload", "uav", "--util-steps", "3"],
+            "util_steps only applies to workload synthetic",
+        ),
+        (
+            &["--refine-budget", "4"],
+            "refine_budget only applies to explore frontier",
+        ),
+        (
+            &["--cores", "0"],
+            "cores requires one or more core counts >= 1",
+        ),
+        (&["--utils", "1.5"], "utils fractions must lie in (0, 1]"),
+        (
+            &["--sec-tasks", "5,2"],
+            "sec_tasks range [5, 2] is empty or zero",
+        ),
+        (
+            &["--allocators", "warpdrive"],
+            "unknown allocator: warpdrive",
+        ),
+        (&["--seed", "-1"], "invalid value for --seed: -1"),
+        (&["--trials", "many"], "invalid value for --trials: many"),
+        (&["--cores", "2,x"], "invalid --cores: x"),
+        (&["--shard", "3/2"], "--shard requires 1 <= I <= N, got 3/2"),
+        (
+            &["--progress=0"],
+            "--progress interval must be positive, got 0",
+        ),
+        (&["--threads", "-1"], "invalid value for --threads: -1"),
+        // The store is not opened before the command line is checked.
+        (
+            &["--store", "store", "--cores", "2,2"],
+            "cores lists 2 twice",
+        ),
     ];
     for (args, error) in cases {
-        let mut argv = vec!["sweep", "--cores", "2", "--out", "out"];
+        let mut argv = vec!["sweep", "--out", "out"];
         argv.extend_from_slice(args);
         let output = dse_in(&cwd, &argv);
-        assert_eq!(output.status.code(), Some(1), "dse {argv:?}");
+        assert_eq!(output.status.code(), Some(2), "dse {argv:?}");
         assert_eq!(
             String::from_utf8_lossy(&output.stderr).trim_end(),
             format!("error: {error}"),

@@ -46,7 +46,7 @@ use rt_partition::{partition_tasks_with_mode, Partition};
 use rt_sim::attack::{AttackScenario, InjectedAttack};
 use rt_sim::detection::OnlineDetector;
 use rt_sim::engine::{simulate_with_scratch, SimConfig, SimScratch};
-use rt_sim::workload::{simulation_tasks_into, SimTask, TaskKind};
+use rt_sim::workload::{simulation_tasks_into, SimTask};
 use taskgen::{derive_seed, generate_problem_seeded};
 
 use crate::agg::SweepAccumulator;
@@ -178,8 +178,6 @@ pub struct EvalScratch {
     attacks: Vec<InjectedAttack>,
     /// The attack-target cycle (`0..n_sec`).
     targets: Vec<usize>,
-    /// Which cores host at least one attacked security task.
-    core_monitored: Vec<bool>,
     /// Sorted latency samples staged for the outcome record.
     latencies: Vec<f64>,
     /// The event-driven engine's heaps and member lists.
@@ -796,41 +794,17 @@ fn measure_detection(
         &scratch.targets,
         &mut scratch.attacks,
     );
-    // Cores are fully isolated under partitioned scheduling, so a core that
-    // hosts no attacked security task cannot influence any detection outcome
-    // — drop its tasks before simulating. (The attack cycle hits the first
-    // `min(attacks, n_sec)` targets.) Under the SingleCore scheme this
-    // collapses the simulation to the dedicated security core alone.
-    let attacked = scratch.targets.len().min(attacks);
-    let cores_total = scratch.tasks.iter().map(|t| t.core + 1).max().unwrap_or(0);
-    scratch.core_monitored.clear();
-    scratch.core_monitored.resize(cores_total, false);
-    for task in &scratch.tasks {
-        if let TaskKind::Security(s) = task.kind {
-            if s < attacked {
-                scratch.core_monitored[task.core] = true;
-            }
-        }
-    }
-    // In-place unstable partition (keeps every recycled buffer alive): the
-    // engine's heaps impose the dispatch order, so member order within the
-    // slice cannot change any outcome.
-    let mut keep = 0usize;
-    for i in 0..scratch.tasks.len() {
-        if scratch.core_monitored[scratch.tasks[i].core] {
-            scratch.tasks.swap(keep, i);
-            keep += 1;
-        }
-    }
-    let sim_tasks = &scratch.tasks[..keep];
     // One streaming pass: no trace is materialised, detection latencies fold
     // online per completed job, and the simulation stops as soon as every
     // attack is resolved — outcomes are identical to the trace-based
-    // measurement (pinned by the rt-sim equality tests).
-    scratch.detector.begin(sim_tasks, &scratch.attacks);
+    // measurement (pinned by the rt-sim equality tests). The detector
+    // observes only the attacked security tasks, so the engine skips every
+    // core that hosts none and runs the others on their real-time idle
+    // supply.
+    scratch.detector.begin(&scratch.tasks, &scratch.attacks);
     if !scratch.detector.finished() {
         simulate_with_scratch(
-            sim_tasks,
+            &scratch.tasks,
             &SimConfig::new(horizon),
             &mut scratch.sim,
             &mut scratch.detector,

@@ -18,7 +18,8 @@
 //! | `sweep.backpressure_waits` | times a worker blocked on the reorder window |
 //! | `sweep.backpressure_wait_ns` | total time workers spent blocked |
 //! | `memo.{problem,feasibility,allocation}_{hits,misses}` | memo cache traffic |
-//! | `sim.{releases,completions,truncated,preemptions,idle_jumps}` | simulator scheduling events |
+//! | `sim.{releases,completions,truncated,preemptions,idle_jumps}` | simulator scheduling events; on a core that takes the simulator's supply path they count security-level events only |
+//! | `sim.supply_fallbacks` | simulated cores whose real-time tasks went unobserved but which took the event path because a supply-path precondition failed |
 //! | `optimal.{visited,pruned,total}` | branch-and-bound search statistics |
 //! | `batch.scalar_fallbacks` | partitions run on the scalar path because their admission test has no kernel (non-RTA tests) |
 //! | `checkpoint.writes` | checkpoint files durably written (CLI only) |
@@ -204,6 +205,9 @@ impl WorkerObs {
         self.shard.counter("sim.truncated").add(stats.truncated);
         self.shard.counter("sim.preemptions").add(stats.preemptions);
         self.shard.counter("sim.idle_jumps").add(stats.idle_jumps);
+        self.shard
+            .counter("sim.supply_fallbacks")
+            .add(stats.supply_fallbacks);
     }
 
     /// Folds an Optimal branch-and-bound run's search statistics into the
@@ -324,10 +328,12 @@ mod tests {
             truncated: 1,
             preemptions: 0,
             idle_jumps: 4,
+            supply_fallbacks: 2,
         });
         let json = obs.metrics_json();
         assert!(json.contains("\"schema\": \"rt-obs/v1\""));
         assert!(json.contains("\"sim.releases\": 3"));
+        assert!(json.contains("\"sim.supply_fallbacks\": 2"));
         assert!(json.contains("\"simulate\": { \"count\": 1"));
         // Every phase appears in the table, in order.
         let rows = obs.phase_rows();

@@ -193,20 +193,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// Runs `shape` at `threads` into `out` and returns its artifacts as
 /// `(file name, contents)`, in [`FILES`] order.
 fn run_shape(shape: &Shape, threads: usize, out: &Path) -> Vec<(&'static str, String)> {
-    let threads = threads.to_string();
-    let output = Command::new(env!("CARGO_BIN_EXE_dse"))
-        .arg("sweep")
-        .args(shape.args)
-        .args(["--threads", &threads, "--quiet", "--out"])
-        .arg(out)
-        .output()
-        .expect("spawn the dse binary");
-    assert!(
-        output.status.success(),
-        "dse sweep {} --threads {threads} failed: {}",
-        shape.args.join(" "),
-        String::from_utf8_lossy(&output.stderr)
-    );
+    run_dse(shape, threads, out, &[]);
     FILES
         .iter()
         .filter_map(|&file| {
@@ -215,6 +202,26 @@ fn run_shape(shape: &Shape, threads: usize, out: &Path) -> Vec<(&'static str, St
                 .map(|text| (file, text))
         })
         .collect()
+}
+
+/// Runs `dse sweep` on `shape` at `threads` into `out`, with `extra`
+/// options.
+fn run_dse(shape: &Shape, threads: usize, out: &Path, extra: &[&str]) {
+    let threads = threads.to_string();
+    let output = Command::new(env!("CARGO_BIN_EXE_dse"))
+        .arg("sweep")
+        .args(shape.args)
+        .args(["--threads", &threads, "--quiet", "--out"])
+        .arg(out)
+        .args(extra)
+        .output()
+        .expect("spawn the dse binary");
+    assert!(
+        output.status.success(),
+        "dse sweep {} --threads {threads} failed: {}",
+        shape.args.join(" "),
+        String::from_utf8_lossy(&output.stderr)
+    );
 }
 
 /// The committed rows of `triple`, keyed by `(shape, file)`.
@@ -352,6 +359,63 @@ fn canonical_sweeps_reproduce_the_golden_digests() {
     }
     fs::remove_dir_all(&dir).expect("remove temp dir");
     assert!(failures.is_empty(), "{}", failures.join("\n\n"));
+}
+
+/// The `sim.*` counters of a `--metrics-out` document, in name order.
+fn sim_counters(metrics: &str) -> Vec<(String, u64)> {
+    metrics
+        .lines()
+        .filter_map(|line| {
+            let (name, value) = line.trim().trim_end_matches(',').split_once(": ")?;
+            let name = name.trim_matches('"');
+            name.starts_with("sim.")
+                .then(|| (name.to_owned(), value.parse().expect("counter value")))
+        })
+        .collect()
+}
+
+/// The simulator's work counters are exact: on both detection shapes every
+/// `sim.*` counter is the same at 1 and 2 threads. Every UAV core takes the
+/// supply path; some synthetic cores must fall back to the event path.
+#[test]
+fn detection_sim_counters_are_thread_independent() {
+    let dir = temp_dir("counters");
+    for shape in &SHAPES[..2] {
+        let runs: Vec<Vec<(String, u64)>> = [1, 2]
+            .into_iter()
+            .map(|threads| {
+                let out = dir.join(format!("{}-t{threads}", shape.name));
+                let metrics = out.join("metrics.json");
+                let metrics_arg = metrics.to_str().expect("UTF-8 temp path");
+                run_dse(shape, threads, &out, &["--metrics-out", metrics_arg]);
+                sim_counters(&fs::read_to_string(&metrics).expect("metrics document"))
+            })
+            .collect();
+        assert_eq!(
+            runs[0], runs[1],
+            "shape `{}`: sim.* at 1 vs 2 threads",
+            shape.name
+        );
+        let fallbacks = runs[0]
+            .iter()
+            .find(|(name, _)| name == "sim.supply_fallbacks")
+            .map(|&(_, n)| n)
+            .expect("sim.supply_fallbacks is exported");
+        let releases = runs[0]
+            .iter()
+            .find(|(name, _)| name == "sim.releases")
+            .map(|&(_, n)| n);
+        assert!(
+            releases > Some(0),
+            "shape `{}` simulated nothing",
+            shape.name
+        );
+        match shape.name {
+            "uav-detection" => assert_eq!(fallbacks, 0, "every UAV core takes the supply path"),
+            _ => assert!(fallbacks > 0, "some synthetic cores fall back"),
+        }
+    }
+    fs::remove_dir_all(&dir).expect("remove temp dir");
 }
 
 /// Prints `golden_digests.txt` with this target's rows regenerated from the

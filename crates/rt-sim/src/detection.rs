@@ -220,6 +220,15 @@ impl SimObserver for OnlineDetector {
             ControlFlow::Continue(())
         }
     }
+
+    /// Only the security tasks that attacks target are read, so the engine
+    /// skips every other core and never simulates real-time jobs it can
+    /// replace with the core's idle supply.
+    fn observes(&self, task: usize) -> bool {
+        self.queue_of_task
+            .get(task)
+            .is_some_and(|&slot| slot != usize::MAX)
+    }
 }
 
 /// One-pass detection measurement: simulates the workload with an

@@ -24,6 +24,54 @@
 //! Every scheduling event (release, completion, preemption, horizon cut)
 //! therefore costs O(log tasks) instead of O(ready · members).
 //!
+//! # Two paths per core
+//!
+//! Cores are independent, so the engine picks a path per core from what the
+//! [`SimObserver`] reads ([`SimObserver::observes`]):
+//!
+//! * **skipped** — the observer reads none of the core's tasks;
+//! * **supply path** — it reads none of the core's real-time tasks
+//!   ([`TaskKind::RealTime`](crate::workload::TaskKind::RealTime)) and the
+//!   preconditions below hold. The core's security tasks are then
+//!   scheduled, fixed-priority and preemptive, over the core's *idle
+//!   supply*: the idle intervals of its real-time schedule over one
+//!   hyperperiod H (the lcm of the real-time periods), repeated. No
+//!   real-time job is simulated;
+//! * **event path** — everything else: every member's jobs, as above.
+//!
+//! Both paths run the same scheduling loop. It asks a supply for processor
+//! time; the event path's supply is the identity, S(t) = t.
+//!
+//! The supply path is exact. Security priorities rank below every
+//! real-time priority on the core, so the real-time jobs are scheduled as if
+//! the security tasks did not exist. The core is work-conserving, so whether
+//! it is busy at an instant depends only on real-time release times and
+//! WCETs. Releases are synchronous and periodic: if a work-conserving pass
+//! over [0, H) ends with no backlog at H, the core is in the same state at H
+//! as at 0, and its idle intervals repeat with period H. A security job
+//! therefore runs exactly in the idle instants that higher-priority security
+//! jobs leave free. With S(t) the idle time in [0, t) (whole hyperperiods
+//! plus one binary search in the table, as in a supply-bound function), a
+//! job dispatched at `now` first runs at the first idle instant at or after
+//! `now`, and it completes at the earliest t with S(t) = S(run start) +
+//! remaining work. Releases strictly before the horizon are simulated, a job
+//! finishing exactly at the horizon completes, and every other unfinished
+//! job is reported truncated, as on the event path.
+//!
+//! The supply path applies when, on that core:
+//!
+//! * every WCET and period is positive;
+//! * every real-time priority outranks every security priority;
+//! * H (the saturating lcm) is at most the horizon, and one hyperperiod
+//!   holds at most 4,096 real-time releases (`MAX_SUPPLY_RELEASES`, which
+//!   bounds the idle table);
+//! * the pass over [0, H) ends with no backlog and leaves some idle time.
+//!
+//! A core whose real-time tasks go unobserved but which fails a
+//! precondition takes the event path and counts in
+//! [`SimStats::supply_fallbacks`]. A core with no real-time task takes the
+//! event path too: its idle supply is the identity.
+//!
 //! Results stream through the [`SimObserver`] callback: each finished (or
 //! horizon-truncated) job is reported the moment it leaves the core, so
 //! consumers that fold records online — e.g. the intrusion-detection
@@ -37,10 +85,17 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::ops::ControlFlow;
 
+use rt_core::hyperperiod::lcm;
 use rt_core::Time;
 
 use crate::trace::{JobRecord, Trace};
 use crate::workload::SimTask;
+
+/// The most real-time releases one hyperperiod may hold for a core to take
+/// the supply path. It bounds the idle table's buffers to a few tens of KB
+/// per scratch; the UAV case study releases 91 real-time jobs per
+/// hyperperiod across the whole platform.
+const MAX_SUPPLY_RELEASES: u64 = 4096;
 
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,14 +123,29 @@ impl SimConfig {
 /// The engine calls [`SimObserver::record`] once per job — when the job
 /// completes, or when the horizon truncates it (then `finish` is `None`).
 /// Records of one task arrive in release order; records of different tasks
-/// arrive in per-core completion order, core by core. Observers that have
-/// seen everything they need can return [`ControlFlow::Break`] to stop the
-/// simulation early — useful when the measurement (not the trace) is the
-/// product, e.g. once every injected attack has been detected.
+/// arrive core by core, in an order that depends on the core's path (see the
+/// module docs). Observers that have seen everything they need can return
+/// [`ControlFlow::Break`] to stop the simulation early — useful when the
+/// measurement (not the trace) is the product, e.g. once every injected
+/// attack has been detected.
 pub trait SimObserver {
     /// Consumes one job record; return [`ControlFlow::Break`] to abort the
     /// remaining simulation.
+    ///
+    /// Only jobs of observed cores are reported, and on a core whose
+    /// real-time tasks are unobserved ([`SimObserver::observes`]) only the
+    /// security jobs are reported when the core takes the supply path.
     fn record(&mut self, job: &JobRecord) -> ControlFlow<()>;
+
+    /// Whether the observer reads the records of `task`, an index into the
+    /// simulated task slice. The engine skips a core none of whose tasks
+    /// are observed, and schedules the security tasks of a core whose
+    /// real-time tasks are unobserved over the core's idle supply (module
+    /// docs, "Two paths per core"). The default observes every task.
+    fn observes(&self, task: usize) -> bool {
+        let _ = task;
+        true
+    }
 }
 
 /// Closures `FnMut(&JobRecord) -> ControlFlow<()>` are observers.
@@ -137,6 +207,11 @@ struct Release(std::cmp::Reverse<(Time, usize)>);
 /// incremented on paths the engine takes anyway, so keeping them costs
 /// nothing measurable; telemetry consumers read them once per worker at
 /// drain instead of once per event.
+///
+/// Skipped cores count nothing. On a core that takes the supply path the
+/// event counts cover security-level events only: security releases,
+/// completions, truncations, preemptions, and jumps to the next security
+/// release.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SimStats {
     /// Jobs released (moved from the release calendar to a ready queue).
@@ -150,17 +225,28 @@ pub struct SimStats {
     pub preemptions: u64,
     /// Idle intervals skipped by jumping straight to the next release.
     pub idle_jumps: u64,
+    /// Cores whose real-time tasks were unobserved but which took the event
+    /// path because a supply-path precondition failed.
+    pub supply_fallbacks: u64,
+}
+
+/// One core's release calendar and ready queue.
+#[derive(Debug, Default)]
+struct CoreQueues {
+    releases: BinaryHeap<Release>,
+    ready: BinaryHeap<HeapJob>,
 }
 
 /// Reusable buffers of the event-driven engine. One scratch serves any
 /// number of sequential simulations; in steady state no heap allocation
-/// happens per run (heaps and member lists keep their capacity).
+/// happens per run (heaps, member lists and the idle table keep their
+/// capacity).
 #[derive(Debug, Default)]
 pub struct SimScratch {
     members: Vec<usize>,
     prios: Vec<u32>,
-    releases: BinaryHeap<Release>,
-    ready: BinaryHeap<HeapJob>,
+    queues: CoreQueues,
+    supply: IdleSupply,
     stats: SimStats,
 }
 
@@ -179,16 +265,179 @@ impl SimScratch {
     }
 }
 
-/// Runs one core to the horizon (or until the observer breaks).
-fn run_core<O: SimObserver + ?Sized>(
+/// The processor time a core gives the jobs `run_core` schedules, as the
+/// cumulative supply S(t): the time available to them in [0, t).
+trait Supply {
+    /// The first instant at or after `t` at which the jobs can run.
+    fn next_available(&self, t: Time) -> Time;
+    /// S(t).
+    fn supplied(&self, t: Time) -> Time;
+    /// The earliest t with S(t) = `amount`; `amount` is positive.
+    fn reached(&self, amount: Time) -> Time;
+}
+
+/// The event path's supply: the whole processor, S(t) = t.
+struct FullSupply;
+
+impl Supply for FullSupply {
+    fn next_available(&self, t: Time) -> Time {
+        t
+    }
+
+    fn supplied(&self, t: Time) -> Time {
+        t
+    }
+
+    fn reached(&self, amount: Time) -> Time {
+        amount
+    }
+}
+
+/// The supply path's supply: the idle intervals of one core's real-time
+/// schedule over its hyperperiod H, repeated. All instants are in ticks.
+#[derive(Debug, Default)]
+struct IdleSupply {
+    hyperperiod: u64,
+    /// The idle intervals `[starts[i], ends[i])` of [0, H), in time order.
+    starts: Vec<u64>,
+    ends: Vec<u64>,
+    /// `idle_to_end[i]`: the idle time in `[0, ends[i])`.
+    idle_to_end: Vec<u64>,
+    /// The real-time releases of one hyperperiod as `(instant, wcet)`.
+    releases: Vec<(u64, u64)>,
+}
+
+impl IdleSupply {
+    /// Rebuilds the table from the real-time members of one core. Returns
+    /// whether the supply-path preconditions hold (module docs); the table
+    /// is meaningful only if they do.
+    fn rebuild(&mut self, tasks: &[SimTask], members: &[usize], horizon: Time) -> bool {
+        let mut hyperperiod = 1u64;
+        let mut lowest_rt = None;
+        let mut highest_security = u32::MAX;
+        for &i in members {
+            let task = &tasks[i];
+            if task.wcet.is_zero() || task.period.is_zero() {
+                return false;
+            }
+            if task.is_security() {
+                highest_security = highest_security.min(task.priority);
+            } else {
+                hyperperiod = lcm(hyperperiod, task.period.as_ticks());
+                lowest_rt = lowest_rt.max(Some(task.priority));
+            }
+        }
+        if lowest_rt.is_some_and(|p| p >= highest_security) || hyperperiod > horizon.as_ticks() {
+            return false;
+        }
+        let rt_tasks = || {
+            members
+                .iter()
+                .map(|&i| &tasks[i])
+                .filter(|t| !t.is_security())
+        };
+        let releases = rt_tasks().fold(0u64, |n, t| {
+            n.saturating_add(hyperperiod / t.period.as_ticks())
+        });
+        if releases > MAX_SUPPLY_RELEASES {
+            return false;
+        }
+        self.releases.clear();
+        for task in rt_tasks() {
+            let (period, wcet) = (task.period.as_ticks(), task.wcet.as_ticks());
+            self.releases
+                .extend((0..hyperperiod / period).map(|k| (k * period, wcet)));
+        }
+        // Work-conserving: the order among jobs released together cannot
+        // move an idle instant.
+        self.releases.sort_unstable_by_key(|&(at, _)| at);
+        self.starts.clear();
+        self.ends.clear();
+        self.idle_to_end.clear();
+        let mut busy_until = 0u64;
+        let mut idle = 0u64;
+        let mut push_idle = |from: u64, to: u64| {
+            idle += to - from;
+            self.starts.push(from);
+            self.ends.push(to);
+            self.idle_to_end.push(idle);
+        };
+        for &(at, wcet) in &self.releases {
+            if at > busy_until {
+                push_idle(busy_until, at);
+                busy_until = at;
+            }
+            busy_until = busy_until.saturating_add(wcet);
+        }
+        if busy_until > hyperperiod {
+            // Backlog at H: the schedule does not repeat with period H.
+            return false;
+        }
+        if busy_until < hyperperiod {
+            push_idle(busy_until, hyperperiod);
+        }
+        self.hyperperiod = hyperperiod;
+        !self.starts.is_empty()
+    }
+
+    /// The idle time in one hyperperiod.
+    fn per_hyperperiod(&self) -> u64 {
+        self.idle_to_end.last().copied().unwrap_or(0)
+    }
+}
+
+impl Supply for IdleSupply {
+    fn next_available(&self, t: Time) -> Time {
+        let h = self.hyperperiod;
+        let (q, r) = (t.as_ticks() / h, t.as_ticks() % h);
+        let i = self.ends.partition_point(|&end| end <= r);
+        Time::from_ticks(match self.starts.get(i) {
+            Some(&start) => q * h + start.max(r),
+            None => (q + 1) * h + self.starts[0],
+        })
+    }
+
+    fn supplied(&self, t: Time) -> Time {
+        let h = self.hyperperiod;
+        let (q, r) = (t.as_ticks() / h, t.as_ticks() % h);
+        let i = self.ends.partition_point(|&end| end <= r);
+        let before = if i == 0 { 0 } else { self.idle_to_end[i - 1] };
+        let partial = self
+            .starts
+            .get(i)
+            .map_or(0, |&start| r.saturating_sub(start));
+        Time::from_ticks(q * self.per_hyperperiod() + before + partial)
+    }
+
+    fn reached(&self, amount: Time) -> Time {
+        debug_assert!(!amount.is_zero());
+        let per = self.per_hyperperiod();
+        // `amount` = q·per + rem with rem in (0, per]: it is reached inside
+        // hyperperiod q, in the first interval whose cumulative idle
+        // reaches rem.
+        let q = (amount.as_ticks() - 1) / per;
+        let rem = amount.as_ticks() - q * per;
+        let i = self.idle_to_end.partition_point(|&idle| idle < rem);
+        let before = if i == 0 { 0 } else { self.idle_to_end[i - 1] };
+        Time::from_ticks(
+            q.saturating_mul(self.hyperperiod)
+                .saturating_add(self.starts[i] + (rem - before)),
+        )
+    }
+}
+
+/// Runs one core's `members` on `supply` to the horizon (or until the
+/// observer breaks).
+fn run_core<S: Supply, O: SimObserver + ?Sized>(
     tasks: &[SimTask],
     members: &[usize],
     horizon: Time,
-    releases: &mut BinaryHeap<Release>,
-    ready: &mut BinaryHeap<HeapJob>,
+    supply: &S,
+    queues: &mut CoreQueues,
     stats: &mut SimStats,
     observer: &mut O,
 ) -> ControlFlow<()> {
+    let CoreQueues { releases, ready } = queues;
     releases.clear();
     ready.clear();
     for &task in members {
@@ -235,19 +484,29 @@ fn run_core<O: SimObserver + ?Sized>(
                 None => break,
             }
         };
-        if job.start.is_none() {
-            job.start = Some(now);
-        }
 
-        // Run until the job completes, the next release arrives (possible
-        // preemption), or the horizon.
-        let completion = now + job.remaining;
-        let next_event = match releases.peek() {
-            Some(&Release(std::cmp::Reverse((at, _)))) => completion.min(at).min(horizon),
-            None => completion.min(horizon),
+        // Run on the supply from its first available instant until the job
+        // completes, the next release arrives (possible preemption), or the
+        // horizon. On the event path the supply is available at `now`.
+        let stop = match releases.peek() {
+            Some(&Release(std::cmp::Reverse((at, _)))) => at.min(horizon),
+            None => horizon,
         };
-        job.remaining -= next_event - now;
-        now = next_event;
+        let from = supply.next_available(now);
+        if from < stop {
+            job.start.get_or_insert(from);
+            let done = supply.supplied(from) + job.remaining;
+            let completion = supply.reached(done);
+            if completion <= stop {
+                job.remaining = Time::ZERO;
+                now = completion;
+            } else {
+                job.remaining = done - supply.supplied(stop);
+                now = stop;
+            }
+        } else {
+            now = stop;
+        }
 
         if job.remaining.is_zero() {
             stats.completions += 1;
@@ -292,7 +551,8 @@ fn run_core<O: SimObserver + ?Sized>(
 
 /// Streams the simulation of `tasks` into `observer`, reusing `scratch`'s
 /// buffers (allocation-free once the scratch is warm). Cores are simulated
-/// in index order; an observer `Break` stops everything immediately.
+/// in index order, each on the path the observer allows (module docs, "Two
+/// paths per core"); an observer `Break` stops everything immediately.
 ///
 /// # Panics
 ///
@@ -305,11 +565,12 @@ pub fn simulate_with_scratch<O: SimObserver + ?Sized>(
     observer: &mut O,
 ) {
     let cores = tasks.iter().map(|t| t.core).max().map_or(0, |m| m + 1);
+    let horizon = config.horizon;
     let SimScratch {
         members,
         prios,
-        releases,
-        ready,
+        queues,
+        supply,
         stats,
     } = scratch;
     for core in 0..cores {
@@ -328,17 +589,31 @@ pub fn simulate_with_scratch<O: SimObserver + ?Sized>(
             prios.windows(2).all(|w| w[0] != w[1]),
             "tasks sharing core {core} must have distinct priorities"
         );
-        if run_core(
-            tasks,
-            members,
-            config.horizon,
-            releases,
-            ready,
-            stats,
-            observer,
-        )
-        .is_break()
-        {
+        if !members.iter().any(|&i| observer.observes(i)) {
+            continue;
+        }
+        let rt_hidden = members
+            .iter()
+            .all(|&i| tasks[i].is_security() || !observer.observes(i));
+        let has_rt = members.iter().any(|&i| !tasks[i].is_security());
+        let flow = if rt_hidden && has_rt && supply.rebuild(tasks, members, horizon) {
+            members.retain(|&i| tasks[i].is_security());
+            run_core(tasks, members, horizon, &*supply, queues, stats, observer)
+        } else {
+            if rt_hidden && has_rt {
+                stats.supply_fallbacks += 1;
+            }
+            run_core(
+                tasks,
+                members,
+                horizon,
+                &FullSupply,
+                queues,
+                stats,
+                observer,
+            )
+        };
+        if flow.is_break() {
             return;
         }
     }
@@ -511,6 +786,8 @@ mod naive {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attack::InjectedAttack;
+    use crate::detection::{detection_times, detection_times_online};
     use crate::workload::TaskKind;
     use proptest::prelude::*;
 
@@ -780,6 +1057,276 @@ mod tests {
             });
             let streamed = Trace::new(jobs, config.horizon, tasks.len());
             prop_assert_eq!(streamed, simulate(&tasks, &config));
+        }
+    }
+
+    /// Collects the records of the security tasks and observes nothing
+    /// else, so every core with a real-time task is offered the supply path.
+    struct SecurityRecords<'a> {
+        tasks: &'a [SimTask],
+        jobs: Vec<JobRecord>,
+    }
+
+    impl SimObserver for SecurityRecords<'_> {
+        fn record(&mut self, job: &JobRecord) -> ControlFlow<()> {
+            self.jobs.push(*job);
+            ControlFlow::Continue(())
+        }
+
+        fn observes(&self, task: usize) -> bool {
+            self.tasks[task].is_security()
+        }
+    }
+
+    /// Simulates `tasks` for `SecurityRecords` and returns its trace and the
+    /// run's statistics.
+    fn security_only(tasks: &[SimTask], config: &SimConfig) -> (Trace, SimStats) {
+        let mut observer = SecurityRecords {
+            tasks,
+            jobs: Vec::new(),
+        };
+        let mut scratch = SimScratch::new();
+        simulate_with_scratch(tasks, config, &mut scratch, &mut observer);
+        (
+            Trace::new(observer.jobs, config.horizon, tasks.len()),
+            scratch.stats(),
+        )
+    }
+
+    fn security_task(c: u64, t: u64, core: usize, priority: u32, index: usize) -> SimTask {
+        SimTask {
+            name: format!("s{index}"),
+            kind: TaskKind::Security(index),
+            wcet: Time::from_ticks(c),
+            period: Time::from_ticks(t),
+            deadline: Time::from_ticks(t),
+            core,
+            priority,
+        }
+    }
+
+    fn rt_ticks(c: u64, t: u64, core: usize, priority: u32) -> SimTask {
+        SimTask {
+            name: format!("r{priority}"),
+            kind: TaskKind::RealTime,
+            wcet: Time::from_ticks(c),
+            period: Time::from_ticks(t),
+            deadline: Time::from_ticks(t),
+            core,
+            priority,
+        }
+    }
+
+    /// Requires `supply`'s records of every security task to equal the
+    /// event path's, per task in release order.
+    fn assert_security_records_match(tasks: &[SimTask], event: &Trace, supply: &Trace) {
+        for (i, task) in tasks.iter().enumerate() {
+            if task.is_security() {
+                let expected: Vec<&JobRecord> = event.jobs_of(i).collect();
+                let actual: Vec<&JobRecord> = supply.jobs_of(i).collect();
+                assert_eq!(actual, expected, "security task {i} of {tasks:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn supply_path_simulates_security_jobs_only() {
+        // rt (C=2, T=5) above sec (C=4, T=10): the idle supply is [2,5)
+        // per hyperperiod of 5 ticks, so sec's first job runs [2,5) and
+        // [7,8) and finishes at 8.
+        let tasks = vec![rt_ticks(2, 5, 0, 0), security_task(4, 10, 0, 1, 0)];
+        let config = SimConfig::new(Time::from_ticks(40));
+        let (supply, stats) = security_only(&tasks, &config);
+        let event = simulate(&tasks, &config);
+        assert_security_records_match(&tasks, &event, &supply);
+        let first = supply.jobs_of(1).next().unwrap();
+        assert_eq!(first.start, Some(Time::from_ticks(2)));
+        assert_eq!(first.finish, Some(Time::from_ticks(8)));
+        // No real-time record, and only the four security releases count.
+        assert_eq!(supply.jobs_of(0).count(), 0);
+        assert_eq!(stats.releases, 4);
+        assert_eq!(stats.completions, 4);
+        assert_eq!(stats.supply_fallbacks, 0);
+    }
+
+    #[test]
+    fn unobserved_cores_are_skipped() {
+        let tasks = vec![rt_ticks(2, 5, 0, 0), rt_ticks(1, 3, 1, 0)];
+        let (trace, stats) = security_only(&tasks, &SimConfig::new(Time::from_ticks(30)));
+        assert!(trace.jobs().is_empty());
+        assert_eq!(stats, SimStats::default());
+    }
+
+    #[test]
+    fn unmet_preconditions_fall_back_to_the_event_path() {
+        let sec = |core| security_task(3, 100, core, 10, core);
+        let config = SimConfig::new(Time::from_ticks(10_000));
+        let cases: [(&str, Vec<SimTask>, u64); 6] = [
+            // Periods 2 and 4,099 release 4,100 jobs per hyperperiod.
+            (
+                "release cap",
+                vec![rt_ticks(1, 2, 0, 0), rt_ticks(1, 4_099, 0, 1), sec(0)],
+                1,
+            ),
+            // Periods 2 and 4,091 release 4,093: under the cap.
+            (
+                "under the cap",
+                vec![rt_ticks(1, 2, 0, 0), rt_ticks(1, 4_091, 0, 1), sec(0)],
+                0,
+            ),
+            (
+                "hyperperiod beyond the horizon",
+                vec![rt_ticks(1, 9_973, 0, 0), rt_ticks(1, 9_967, 0, 1), sec(0)],
+                1,
+            ),
+            (
+                "backlog at the hyperperiod",
+                vec![rt_ticks(3, 4, 0, 0), rt_ticks(3, 6, 0, 1), sec(0)],
+                1,
+            ),
+            (
+                "no idle time",
+                vec![rt_ticks(1, 2, 0, 0), rt_ticks(2, 4, 0, 1), sec(0)],
+                1,
+            ),
+            (
+                "security above real time",
+                vec![rt_ticks(1, 4, 0, 11), sec(0)],
+                1,
+            ),
+        ];
+        for (what, tasks, fallbacks) in cases {
+            let (supply, stats) = security_only(&tasks, &config);
+            assert_eq!(stats.supply_fallbacks, fallbacks, "{what}");
+            assert_security_records_match(&tasks, &simulate(&tasks, &config), &supply);
+        }
+        // A zero WCET falls back too; the event path completes such jobs
+        // the instant they are dispatched.
+        let tasks = vec![rt_ticks(0, 4, 0, 0), sec(0)];
+        let (supply, stats) = security_only(&tasks, &config);
+        assert_eq!(stats.supply_fallbacks, 1);
+        assert_security_records_match(&tasks, &simulate(&tasks, &config), &supply);
+    }
+
+    /// Random two-core platforms for the supply-path differential test:
+    /// up to five real-time and one to four security tasks with periods of
+    /// 1–40 ticks, half of the real-time ones from a harmonic-friendly
+    /// set so that hyperperiods often fit the horizon. WCETs reach the
+    /// period, so cores overload; one WCET in about eighty is zero; and in
+    /// one platform in eight the security priorities interleave with the
+    /// real-time ones. Each of those makes a core fall back, as does a
+    /// hyperperiod beyond the horizon.
+    fn mixed_platform() -> impl Strategy<Value = Vec<SimTask>> {
+        let task = (1u64..=80, 0u64..=80, 0usize..2, 0u32..1000);
+        (
+            collection::vec(task.clone(), 0..=5),
+            collection::vec(task, 1..=4),
+            0u32..8,
+        )
+            .prop_map(|(rt, sec, interleave)| {
+                let period = |raw: u64| {
+                    if raw <= 40 {
+                        raw
+                    } else {
+                        [2, 4, 5, 8, 10, 16, 20, 40][raw as usize % 8]
+                    }
+                };
+                let wcet = |seed: u64, spread: u64, period: u64| {
+                    if seed == 0 {
+                        0
+                    } else {
+                        (1 + seed % spread).min(period)
+                    }
+                };
+                let security_offset = if interleave == 0 { 0 } else { 1000 };
+                let mut tasks: Vec<(u32, SimTask)> = Vec::new();
+                for (raw, seed, core, key) in rt {
+                    let t = period(raw);
+                    tasks.push((key, rt_ticks(wcet(seed, 4, t), t, core, 0)));
+                }
+                for (index, (raw, seed, core, key)) in sec.into_iter().enumerate() {
+                    let t = raw.min(40);
+                    let task = security_task(wcet(seed, 8, t), t, core, 0, index);
+                    tasks.push((key + security_offset, task));
+                }
+                // Unique priorities from the keys (ties by position).
+                let mut order: Vec<usize> = (0..tasks.len()).collect();
+                order.sort_by_key(|&i| (tasks[i].0, i));
+                for (rank, i) in order.into_iter().enumerate() {
+                    tasks[i].1.priority = rank as u32;
+                }
+                tasks.into_iter().map(|(_, task)| task).collect()
+            })
+    }
+
+    /// Attacks `(time, target)`; targets beyond the security set stay
+    /// undetected.
+    fn attack_schedule() -> impl Strategy<Value = Vec<(u64, usize)>> {
+        collection::vec((0u64..400, 0usize..5), 0..=12)
+    }
+
+    #[test]
+    fn supply_path_test_covers_both_paths() {
+        use rand::SeedableRng;
+        let strategy = mixed_platform();
+        let mut rng = proptest::TestRng::seed_from_u64(7);
+        let (mut offered, mut fallbacks) = (0u64, 0u64);
+        for horizon in (1u64..=400).step_by(2) {
+            let tasks = strategy.new_value(&mut rng).expect("no filter");
+            offered += (0..2)
+                .filter(|&core| {
+                    let on = |security: bool| {
+                        tasks
+                            .iter()
+                            .any(|t| t.core == core && t.is_security() == security)
+                    };
+                    on(true) && on(false)
+                })
+                .count() as u64;
+            let config = SimConfig::new(Time::from_ticks(horizon));
+            fallbacks += security_only(&tasks, &config).1.supply_fallbacks;
+        }
+        // Each path takes over a quarter of the cores offered the supply
+        // path in the differential test's inputs.
+        assert!(fallbacks * 4 > offered, "{fallbacks} of {offered}");
+        assert!(
+            (offered - fallbacks) * 4 > offered,
+            "{fallbacks} of {offered}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The supply path reproduces the event path's security records and
+        /// detection outcomes, whichever path each core takes.
+        #[test]
+        fn supply_path_matches_event_path(
+            tasks in mixed_platform(),
+            horizon in 1u64..=400,
+            raw_attacks in attack_schedule()
+        ) {
+            let config = SimConfig::new(Time::from_ticks(horizon));
+            let event = simulate(&tasks, &config);
+            let (supply, stats) = security_only(&tasks, &config);
+            assert_security_records_match(&tasks, &event, &supply);
+            prop_assert_eq!(stats.completions + stats.truncated, stats.releases);
+
+            let attacks: Vec<InjectedAttack> = raw_attacks
+                .into_iter()
+                .map(|(time, target)| InjectedAttack {
+                    time: Time::from_ticks(time % horizon),
+                    target,
+                })
+                .collect();
+            prop_assert_eq!(
+                detection_times_online(&tasks, &config, &attacks),
+                detection_times(&tasks, &event, &attacks),
+                "{:?} at horizon {}, attacks {:?}",
+                tasks,
+                horizon,
+                attacks
+            );
         }
     }
 }

@@ -131,6 +131,52 @@ impl JobRecord {
     }
 }
 
+/// How many finished jobs (done, cancelled or failed) the registry keeps.
+/// Each costs about 0.3 KB and a row of every `GET /v1/jobs` body, so a
+/// long-running server keeps the most recent ones only.
+const FINISHED_JOBS_KEPT: usize = 1024;
+
+/// The job registry: every queued and running job, plus the
+/// [`FINISHED_JOBS_KEPT`] most recently finished ones. An evicted id
+/// resolves like one that never existed.
+#[derive(Debug, Default)]
+struct JobRegistry {
+    jobs: BTreeMap<u64, Arc<JobRecord>>,
+    /// Ids of the kept finished jobs, in the order they finished.
+    finished: VecDeque<u64>,
+}
+
+impl JobRegistry {
+    fn insert(&mut self, record: Arc<JobRecord>) {
+        self.jobs.insert(record.id, record);
+    }
+
+    fn remove(&mut self, id: u64) {
+        self.jobs.remove(&id);
+    }
+
+    fn get(&self, id: u64) -> Option<Arc<JobRecord>> {
+        self.jobs.get(&id).cloned()
+    }
+
+    /// Every registered job, in id order.
+    fn all(&self) -> Vec<Arc<JobRecord>> {
+        self.jobs.values().cloned().collect()
+    }
+
+    /// Records that job `id` reached a terminal state, evicting the job
+    /// that finished longest ago once more than [`FINISHED_JOBS_KEPT`] are
+    /// kept.
+    fn finish(&mut self, id: u64) {
+        self.finished.push_back(id);
+        if self.finished.len() > FINISHED_JOBS_KEPT {
+            if let Some(oldest) = self.finished.pop_front() {
+                self.jobs.remove(&oldest);
+            }
+        }
+    }
+}
+
 /// One queued unit of work: the pre-built session plus the client
 /// connection its outcomes stream onto.
 struct QueuedJob {
@@ -145,7 +191,7 @@ struct QueuedJob {
 pub struct JobPool {
     queue: Mutex<VecDeque<QueuedJob>>,
     available: Condvar,
-    jobs: Mutex<BTreeMap<u64, Arc<JobRecord>>>,
+    jobs: Mutex<JobRegistry>,
     next_id: Mutex<u64>,
     shutdown: AtomicBool,
     obs: SweepObs,
@@ -180,7 +226,7 @@ impl JobPool {
         Arc::new(JobPool {
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
-            jobs: Mutex::new(BTreeMap::new()),
+            jobs: Mutex::new(JobRegistry::default()),
             next_id: Mutex::new(1),
             shutdown: AtomicBool::new(false),
             obs,
@@ -250,14 +296,14 @@ impl JobPool {
         self.jobs
             .lock()
             .expect("job registry poisoned")
-            .insert(id, Arc::clone(&record));
+            .insert(Arc::clone(&record));
         if let Err(error) = http::write_chunked_head(
             &mut stream,
             200,
             "application/x-ndjson",
             &[("X-Job-Id", &id.to_string())],
         ) {
-            self.jobs.lock().expect("job registry poisoned").remove(&id);
+            self.jobs.lock().expect("job registry poisoned").remove(id);
             return Err(error);
         }
         self.queue
@@ -273,28 +319,20 @@ impl JobPool {
         Ok(Some(record))
     }
 
-    /// Looks up one job.
+    /// Looks up one job; `None` for an unknown or evicted id.
     #[must_use]
     pub fn job(&self, id: u64) -> Option<Arc<JobRecord>> {
-        self.jobs
-            .lock()
-            .expect("job registry poisoned")
-            .get(&id)
-            .cloned()
+        self.jobs.lock().expect("job registry poisoned").get(id)
     }
 
-    /// Every job, in id order.
+    /// Every queued and running job and the most recently finished ones,
+    /// in id order.
     #[must_use]
     pub fn all_jobs(&self) -> Vec<Arc<JobRecord>> {
-        self.jobs
-            .lock()
-            .expect("job registry poisoned")
-            .values()
-            .cloned()
-            .collect()
+        self.jobs.lock().expect("job registry poisoned").all()
     }
 
-    /// Cancels one job. Returns whether the id was known.
+    /// Cancels one job. Returns whether the id was known (and not evicted).
     #[must_use]
     pub fn cancel(&self, id: u64) -> bool {
         match self.job(id) {
@@ -365,36 +403,43 @@ impl JobPool {
         // spec. The job's handle was registered at submit time, so cancel
         // works in both phases.
         let result = session.run(&mut sink);
-        let mut status = record.status.lock().expect("job status poisoned");
-        status.elapsed = status.started.map(|t| t.elapsed());
-        match result {
-            Ok(summary) => {
-                status.store_hits = summary.memo.store_hits;
-                status.store_misses = summary.memo.store_misses;
-                // Terminate the chunked stream cleanly — also after a
-                // cancellation, so the client can tell "stopped on purpose"
-                // (terminal chunk) from "something died" (truncation).
-                let finish = sink.into_inner().finish().map(drop);
-                if summary.cancelled {
-                    status.state = JobState::Cancelled;
-                    self.jobs_cancelled.inc();
-                } else if let Err(error) = finish {
+        {
+            let mut status = record.status.lock().expect("job status poisoned");
+            status.elapsed = status.started.map(|t| t.elapsed());
+            match result {
+                Ok(summary) => {
+                    status.store_hits = summary.memo.store_hits;
+                    status.store_misses = summary.memo.store_misses;
+                    // Terminate the chunked stream cleanly — also after a
+                    // cancellation, so the client can tell "stopped on purpose"
+                    // (terminal chunk) from "something died" (truncation).
+                    let finish = sink.into_inner().finish().map(drop);
+                    if summary.cancelled {
+                        status.state = JobState::Cancelled;
+                        self.jobs_cancelled.inc();
+                    } else if let Err(error) = finish {
+                        status.state = JobState::Failed;
+                        status.error = Some(format!("client transport failed: {error}"));
+                        self.jobs_failed.inc();
+                    } else {
+                        status.state = JobState::Done;
+                        self.jobs_completed.inc();
+                    }
+                }
+                Err(error) => {
+                    // No terminal chunk: the truncated stream is the client's
+                    // failure signal.
                     status.state = JobState::Failed;
-                    status.error = Some(format!("client transport failed: {error}"));
+                    status.error = Some(format!("sweep aborted: {error}"));
                     self.jobs_failed.inc();
-                } else {
-                    status.state = JobState::Done;
-                    self.jobs_completed.inc();
                 }
             }
-            Err(error) => {
-                // No terminal chunk: the truncated stream is the client's
-                // failure signal.
-                status.state = JobState::Failed;
-                status.error = Some(format!("sweep aborted: {error}"));
-                self.jobs_failed.inc();
-            }
         }
+        // Only now, with its state terminal, may the job be evicted.
+        self.jobs
+            .lock()
+            .expect("job registry poisoned")
+            .finish(record.id);
     }
 }
 
@@ -417,6 +462,44 @@ mod tests {
                 store_misses: 1,
             }),
         }
+    }
+
+    fn record_with_id(id: u64) -> Arc<JobRecord> {
+        let mut record = fabricated_record();
+        record.id = id;
+        Arc::new(record)
+    }
+
+    #[test]
+    fn registry_keeps_every_running_job_and_the_newest_finished_ones() {
+        let extra = 5u64;
+        let finished_total = FINISHED_JOBS_KEPT as u64 + extra;
+        let mut registry = JobRegistry::default();
+        // Every fourth job keeps running; the others finish in id order.
+        let mut running = Vec::new();
+        let mut finished = Vec::new();
+        let mut id = 0u64;
+        while (finished.len() as u64) < finished_total {
+            id += 1;
+            registry.insert(record_with_id(id));
+            if id.is_multiple_of(4) {
+                running.push(id);
+            } else {
+                registry.finish(id);
+                finished.push(id);
+            }
+        }
+        let mut expected: Vec<u64> = finished[extra as usize..].to_vec();
+        expected.extend(&running);
+        expected.sort_unstable();
+        let kept: Vec<u64> = registry.all().iter().map(|job| job.id()).collect();
+        assert_eq!(kept, expected);
+        // The evicted jobs resolve like unknown ids; kept ones resolve.
+        for &evicted in &finished[..extra as usize] {
+            assert!(registry.get(evicted).is_none(), "job {evicted}");
+        }
+        assert!(registry.get(finished[extra as usize]).is_some());
+        assert!(registry.get(running[0]).is_some());
     }
 
     #[test]

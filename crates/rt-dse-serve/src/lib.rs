@@ -20,8 +20,8 @@
 //! | `GET /`                | Index: endpoint list as JSON                   |
 //! | `GET /healthz`         | Liveness probe                                 |
 //! | `POST /v1/sweep`       | Submit a sweep; response streams JSONL (chunked, `X-Job-Id` header) |
-//! | `GET /v1/jobs`         | Status documents for every job, id order       |
-//! | `GET /v1/jobs/{id}`    | One job's status document                      |
+//! | `GET /v1/jobs`         | Status documents of the queued and running jobs and the 1,024 most recently finished, id order |
+//! | `GET /v1/jobs/{id}`    | One job's status document (404 once evicted)   |
 //! | `POST /v1/jobs/{id}/cancel` | Cooperative cancel (queued or running)    |
 //! | `GET /metrics`         | The shared rt-obs `rt-obs/v1` metrics snapshot |
 //! | `POST /v1/shutdown`    | Refuse new work, drain the queue, exit         |

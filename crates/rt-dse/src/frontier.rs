@@ -117,8 +117,8 @@ pub struct FrontierSlice {
     /// Utilization values Phase B emits (probed ∪ refinement), ascending.
     pub points: Vec<f64>,
     /// Highest reference-grid utilization whose acceptance ratio still
-    /// reached [`CLIFF_THRESHOLD`]; `None` when the slice rejects already at
-    /// the grid's first point.
+    /// reached the cliff threshold (0.5); `None` when the slice rejects
+    /// already at the grid's first point.
     pub cliff_lo: Option<f64>,
     /// Lowest reference-grid utilization whose acceptance ratio fell below
     /// the threshold; `None` when the slice accepts through the grid's last

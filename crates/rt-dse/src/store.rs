@@ -149,8 +149,7 @@ impl MemoStore {
         decode_problem(&payload)
     }
 
-    /// Persists a generated problem (best effort — see [`MemoStore::put`]
-    /// semantics on errors).
+    /// Persists a generated problem.
     ///
     /// # Errors
     ///

@@ -5,7 +5,7 @@
 //! Randfixedsum algorithm (Emberson, Stafford & Davis, WATERS 2010). This
 //! crate provides:
 //!
-//! * [`randfixedsum`] — an implementation of Stafford's Randfixedsum
+//! * [`randfixedsum`](mod@randfixedsum) — an implementation of Stafford's Randfixedsum
 //!   algorithm (uniform sampling of utilisation vectors with a fixed sum),
 //!   plus UUniFast-Discard for cross-validation,
 //! * [`periods`] — uniform and log-uniform period generation,

@@ -19,6 +19,11 @@
 //!
 //! prints the whole table with this triple's rows replaced; paste it over
 //! `crates/rt-dse/tests/golden_digests.txt`.
+//!
+//! A second test runs the two detection shapes with `--metrics-out`: every
+//! `sim.*` work counter must be equal at 1 and 2 threads, no UAV core may
+//! fall back from the simulator's supply path, and some synthetic core
+//! must.
 
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -99,7 +99,10 @@ pub fn detection_times(
 /// detection latencies **online** as jobs complete, so measuring a schedule
 /// needs O(tasks + attacks) memory instead of the O(jobs-over-horizon)
 /// [`Trace`]. Once every attack is resolved the observer stops the
-/// simulation early — the remaining schedule cannot change any outcome.
+/// simulation early — the remaining schedule cannot change any outcome. It
+/// observes only the security tasks that attacks target, so the engine
+/// skips every other core and runs the rest on their real-time idle supply
+/// (see [`crate::engine`]).
 ///
 /// The computed outcomes are identical to running [`detection_times`]
 /// against the full trace of the same workload (a property the test suite

@@ -70,7 +70,8 @@
 //! A core whose real-time tasks go unobserved but which fails a
 //! precondition takes the event path and counts in
 //! [`SimStats::supply_fallbacks`]. A core with no real-time task takes the
-//! event path too: its idle supply is the identity.
+//! event path too, and is not a fallback: its idle supply is the whole
+//! processor, which the event path gives without table lookups.
 //!
 //! Results stream through the [`SimObserver`] callback: each finished (or
 //! horizon-truncated) job is reported the moment it leaves the core, so
@@ -308,7 +309,7 @@ struct IdleSupply {
 }
 
 impl IdleSupply {
-    /// Rebuilds the table from the real-time members of one core. Returns
+    /// Rebuilds the table for the core whose tasks are `members`. Returns
     /// whether the supply-path preconditions hold (module docs); the table
     /// is meaningful only if they do.
     fn rebuild(&mut self, tasks: &[SimTask], members: &[usize], horizon: Time) -> bool {
@@ -595,6 +596,8 @@ pub fn simulate_with_scratch<O: SimObserver + ?Sized>(
         let rt_hidden = members
             .iter()
             .all(|&i| tasks[i].is_security() || !observer.observes(i));
+        // A core without real-time tasks is all supply: the event path
+        // runs it without table lookups.
         let has_rt = members.iter().any(|&i| !tasks[i].is_security());
         let flow = if rt_hidden && has_rt && supply.rebuild(tasks, members, horizon) {
             members.retain(|&i| tasks[i].is_security());

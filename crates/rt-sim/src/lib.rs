@@ -7,7 +7,16 @@
 //!
 //! * [`engine`] — a deterministic discrete-event simulator of partitioned
 //!   fixed-priority preemptive scheduling (each core is independent, tasks
-//!   never migrate),
+//!   never migrate). It simulates only what its observer reads: a core
+//!   with no observed task is skipped, and on a core whose real-time tasks
+//!   are unobserved the security tasks run over the core's *idle supply* —
+//!   the idle intervals of its real-time schedule over one hyperperiod,
+//!   repeated — without simulating a single real-time job (the supply
+//!   path). This is exact because security tasks rank below every
+//!   real-time task and releases are synchronous and periodic; a core that
+//!   fails a precondition (e.g. a hyperperiod beyond the horizon, or a
+//!   real-time backlog at the hyperperiod) takes the event path. See the
+//!   [`engine`] docs, "Two paths per core",
 //! * [`workload`] — the bridge from an [`hydra_core::Allocation`] to the
 //!   simulator's task descriptions,
 //! * [`attack`] / [`detection`] — attack injection and the measurement of the

@@ -38,99 +38,37 @@ const TABLE: &str = include_str!("golden_digests.txt");
 const REGENERATE: &str = "cargo test -p rt-dse --test golden_digests -- --ignored --nocapture \
                           print_golden_table";
 
-/// One canonical sweep: a name and the `dse sweep` arguments.
+/// One canonical sweep: a name and its `dse sweep` arguments.
 struct Shape {
     name: &'static str,
-    args: &'static [&'static str],
+    args: &'static str,
 }
 
 const SHAPES: &[Shape] = &[
     Shape {
         name: "uav-detection",
-        args: &[
-            "--workload",
-            "uav",
-            "--eval",
-            "detection",
-            "--allocators",
-            "hydra,singlecore,nphydra,precedence",
-            "--period-policy",
-            "fixed,joint",
-            "--cores",
-            "2,4",
-            "--horizon",
-            "60",
-            "--attacks",
-            "50",
-            "--trials",
-            "2",
-        ],
+        args: "--workload uav --eval detection --allocators hydra,singlecore,nphydra,precedence \
+               --period-policy fixed,joint --cores 2,4 --horizon 60 --attacks 50 --trials 2",
     },
     Shape {
         name: "synthetic-detection",
-        args: &[
-            "--eval",
-            "detection",
-            "--allocators",
-            "hydra,singlecore,nphydra,precedence",
-            "--period-policy",
-            "fixed,joint",
-            "--cores",
-            "2,4",
-            "--util-steps",
-            "4",
-            "--horizon",
-            "60",
-            "--attacks",
-            "50",
-            "--trials",
-            "2",
-        ],
+        args: "--eval detection --allocators hydra,singlecore,nphydra,precedence \
+               --period-policy fixed,joint --cores 2,4 --util-steps 4 --horizon 60 --attacks 50 \
+               --trials 2",
     },
     Shape {
         name: "alloc-grid",
-        args: &[
-            "--cores",
-            "2,4,8",
-            "--util-steps",
-            "39",
-            "--allocators",
-            "hydra,singlecore,nphydra",
-            "--period-policy",
-            "fixed,adapt,joint",
-            "--trials",
-            "2",
-        ],
+        args: "--cores 2,4,8 --util-steps 39 --allocators hydra,singlecore,nphydra \
+               --period-policy fixed,adapt,joint --trials 2",
     },
     Shape {
         name: "fig3",
-        args: &[
-            "--cores",
-            "2",
-            "--sec-tasks",
-            "2,6",
-            "--allocators",
-            "hydra,optimal",
-            "--trials",
-            "5",
-        ],
+        args: "--cores 2 --sec-tasks 2,6 --allocators hydra,optimal --trials 5",
     },
     Shape {
         name: "frontier",
-        args: &[
-            "--cores",
-            "2,4",
-            "--util-steps",
-            "39",
-            "--allocators",
-            "hydra,singlecore,nphydra",
-            "--period-policy",
-            "fixed,adapt,joint",
-            "--trials",
-            "2",
-            "--explore",
-            "frontier",
-        ],
+        args: "--cores 2,4 --util-steps 39 --allocators hydra,singlecore,nphydra \
+               --period-policy fixed,adapt,joint --trials 2 --explore frontier",
     },
 ];
 
@@ -215,7 +153,7 @@ fn run_dse(shape: &Shape, threads: usize, out: &Path, extra: &[&str]) {
     let threads = threads.to_string();
     let output = Command::new(env!("CARGO_BIN_EXE_dse"))
         .arg("sweep")
-        .args(shape.args)
+        .args(shape.args.split_whitespace())
         .args(["--threads", &threads, "--quiet", "--out"])
         .arg(out)
         .args(extra)
@@ -224,7 +162,7 @@ fn run_dse(shape: &Shape, threads: usize, out: &Path, extra: &[&str]) {
     assert!(
         output.status.success(),
         "dse sweep {} --threads {threads} failed: {}",
-        shape.args.join(" "),
+        shape.args,
         String::from_utf8_lossy(&output.stderr)
     );
 }
@@ -308,8 +246,7 @@ fn describe_mismatch(
         "golden digest mismatch: shape `{}` (dse sweep {} --threads {threads}), file {file}: \
          {located}\nIf this change means to move these bytes, regenerate the table with\n    \
          {REGENERATE}\nand say why in CHANGES.md.",
-        shape.name,
-        shape.args.join(" "),
+        shape.name, shape.args,
     )
 }
 

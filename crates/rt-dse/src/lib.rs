@@ -5,36 +5,31 @@
 //! security-task workloads, compare allocation schemes, aggregate. This
 //! crate turns that pattern into declarative data plus a parallel engine:
 //!
-//! * [`ScenarioSpec`] — the axes of a sweep (cores,
-//!   utilization grid, allocators, period policies, trials, seed) as a
-//!   value,
-//! * [`ScenarioGrid`] — cartesian or sampled expansion
-//!   into concrete [`Scenario`] points with
-//!   deterministic per-point seed addresses,
-//! * [`SweepSession`] — the one run surface: it plans
-//!   what the spec's explore mode emits ([`SweepPlan`]) and
-//!   streams any range of that plan on a self-balancing worker pool (the
-//!   calling thread plus scoped helpers, each claiming whole problem groups
-//!   — every allocator × policy variant of one task set — from a shared
-//!   cursor) whose results and memo work counters are independent of
-//!   thread count and evaluation order; outcomes feed an
-//!   [`OutcomeSink`] in plan order through a reorder
-//!   buffer, so memory stays O(threads + reorder window) instead of O(grid),
-//! * [`MemoCache`] — cross-scenario caching of generated
-//!   problems, Eq. (1) feasibility verdicts and allocator runs, so the
-//!   allocator/policy axes never regenerate or re-solve the same point,
+//! * [`ScenarioSpec`] — the axes of a sweep (cores, utilization grid,
+//!   allocators, period policies, trials, seed) as a value,
+//! * [`ScenarioGrid`] — cartesian or sampled expansion into concrete
+//!   [`Scenario`] points with deterministic per-point seed addresses,
+//! * [`SweepSession`] — the one run surface: it plans what the spec's explore
+//!   mode emits ([`SweepPlan`]) and streams any range of that plan on a
+//!   self-balancing worker pool (the calling thread plus scoped helpers, each
+//!   claiming whole problem groups — every allocator × policy variant of one
+//!   task set — from a shared cursor) whose results and memo work counters
+//!   are independent of thread count and evaluation order; outcomes feed an
+//!   [`OutcomeSink`] in plan order through a reorder buffer, so memory stays
+//!   O(threads + reorder window) instead of O(grid),
+//! * [`MemoCache`] — cross-scenario caching of generated problems, Eq. (1)
+//!   feasibility verdicts and allocator runs, so the allocator/policy axes
+//!   never regenerate or re-solve the same point,
 //! * [`frontier`] — the adaptive explore mode a session runs for
-//!   [`ExploreMode::Frontier`] specs:
-//!   per-slice bisection for the acceptance cliff plus a deterministic
-//!   refinement plan, replacing exhaustive utilization grids,
-//! * [`SweepAccumulator`] /
-//!   [`PairedSink`] — online acceptance-ratio and tightness
-//!   summaries (mean / p50 / p99) plus the paired HYDRA-vs-Optimal gap of
-//!   Figure 3, built from per-worker partials merged at the end — no
+//!   [`ExploreMode::Frontier`] specs: per-slice bisection for the acceptance
+//!   cliff plus a deterministic refinement plan, replacing exhaustive
+//!   utilization grids,
+//! * [`SweepAccumulator`] / [`PairedSink`] — online acceptance-ratio and
+//!   tightness summaries (mean / p50 / p99) plus the paired HYDRA-vs-Optimal
+//!   gap of Figure 3, built from per-worker partials merged at the end — no
 //!   retained outcome vector,
 //! * [`sink`] — byte-deterministic streaming JSONL / CSV / summary sinks,
-//! * [`SweepPlan::shard_range`] /
-//!   [`Checkpoint`] — contiguous plan shards and
+//! * [`SweepPlan::shard_range`] / [`Checkpoint`] — contiguous plan shards and
 //!   killed-run resume whose concatenated outputs are byte-identical to a
 //!   single full run (every scenario owns a deterministic seed address).
 //!

@@ -3,20 +3,18 @@
 //! A hand-rolled (offline-compatible, shim-style — no external
 //! dependencies) observability layer for the sweep engine and `perfbench`:
 //!
-//! * [`Registry`] — counters, gauges and log-bucketed
-//!   latency histograms, stored in **one shard per worker** so the hot path
-//!   is a single relaxed atomic with no cross-worker contention; shards are
-//!   merged deterministically (sorted keys, commutative sums) into a
-//!   [`Snapshot`] at drain, and a fixed documented JSON
-//!   schema ([`Snapshot::to_json`]) backs
+//! * [`Registry`] — counters, gauges and log-bucketed latency histograms,
+//!   stored in **one shard per worker** so the hot path is a single relaxed
+//!   atomic with no cross-worker contention; shards are merged
+//!   deterministically (sorted keys, commutative sums) into a [`Snapshot`] at
+//!   drain, and a fixed documented JSON schema ([`Snapshot::to_json`]) backs
 //!   `--metrics-out`;
-//! * [`Tracer`] — per-phase span recording into per-worker
-//!   ring buffers, exportable as Chrome trace-event JSON (loadable in
-//!   Perfetto / `chrome://tracing`) plus **exact** per-phase time totals
-//!   kept outside the ring, so the aggregate table never suffers ring
-//!   truncation;
-//! * [`Heartbeat`] — a sampler thread that invokes a
-//!   render callback at a fixed interval (the `--progress` stderr line);
+//! * [`Tracer`] — per-phase span recording into per-worker ring buffers,
+//!   exportable as Chrome trace-event JSON (loadable in Perfetto /
+//!   `chrome://tracing`) plus **exact** per-phase time totals kept outside
+//!   the ring, so the aggregate table never suffers ring truncation;
+//! * [`Heartbeat`] — a sampler thread that invokes a render callback at a
+//!   fixed interval (the `--progress` stderr line);
 //! * [`sys`] — `/proc` helpers (peak RSS via `VmHWM`).
 //!
 //! # The overhead contract

@@ -1,4 +1,5 @@
-//! The HYDRA allocation algorithm (Algorithm 1 of the paper).
+//! The HYDRA allocation algorithm (Algorithm 1 of the paper), and the one
+//! placement loop every greedy scheme runs.
 //!
 //! HYDRA walks the security tasks from the highest to the lowest priority
 //! (ascending `T^max`). For each task it solves the period-adaptation problem
@@ -7,15 +8,23 @@
 //! and assigns the task to the core yielding the best tightness, fixing its
 //! period. If some task is infeasible on every core the whole task set is
 //! reported unschedulable.
+//!
+//! [`place`] is that loop. Its four parameters are the placement order, the
+//! candidate cores, a floor on each task's period and an admission rule;
+//! HYDRA passes the priority order, every core, no floor and a rule that
+//! admits every core. NP-HYDRA, Precedence and SingleCore pass their own
+//! (see [`crate::allocator`]).
 
-use rt_core::TaskSet;
-use rt_partition::{partition_tasks, CoreId, Partition};
+use std::ops::Range;
+
+use rt_core::Time;
+use rt_partition::{CoreId, Partition};
 
 use crate::allocation::{Allocation, AllocationError, AllocationProblem, SecurityPlacement};
 use crate::allocator::Allocator;
 use crate::interference::{rt_interference_on, security_interference, InterferenceBound};
-use crate::period::{adapt_period, PeriodChoice};
-use crate::security::{SecurityTaskId, SecurityTaskSet};
+use crate::period::{adapt_period_from, PeriodChoice};
+use crate::security::SecurityTaskId;
 
 /// The HYDRA design-space exploration algorithm.
 ///
@@ -54,80 +63,6 @@ impl HydraAllocator {
     pub fn new() -> Self {
         HydraAllocator::default()
     }
-
-    /// Runs Algorithm 1 against an already-partitioned real-time workload.
-    ///
-    /// This is the entry point matching the paper's formulation, where the
-    /// real-time partition `I = [I_r^m]` is an input. The convenience
-    /// [`Allocator::allocate`] implementation partitions the real-time tasks
-    /// first and then calls this.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AllocationError::SecurityUnschedulable`] if some security
-    /// task has no feasible period on any core.
-    pub fn allocate_with_partition(
-        &self,
-        rt_tasks: &TaskSet,
-        rt_partition: &Partition,
-        security_tasks: &SecurityTaskSet,
-    ) -> Result<Allocation, AllocationError> {
-        let cores = rt_partition.cores();
-        // Pre-compute the static real-time interference per core.
-        let rt_bounds: Vec<InterferenceBound> = (0..cores)
-            .map(|m| rt_interference_on(rt_tasks, rt_partition, CoreId(m)))
-            .collect();
-
-        // Higher-priority security tasks already placed, per core.
-        let mut placed: Vec<Vec<(SecurityTaskId, PeriodChoice)>> = vec![Vec::new(); cores];
-        let mut placements: Vec<Option<SecurityPlacement>> = vec![None; security_tasks.len()];
-
-        for &sec_id in security_tasks.priority_order() {
-            let task = &security_tasks[sec_id];
-            let mut best: Option<(CoreId, PeriodChoice, f64)> = None;
-            for m in 0..cores {
-                let core = CoreId(m);
-                let sec_bound = security_interference(
-                    placed[m]
-                        .iter()
-                        .map(|(id, choice)| (&security_tasks[*id], choice.period)),
-                );
-                let bound = rt_bounds[m].plus(&sec_bound);
-                let Some(choice) = adapt_period(task, &bound) else {
-                    continue;
-                };
-                let candidate_load = bound.slope;
-                let better = match &best {
-                    None => true,
-                    Some((_, incumbent, incumbent_load)) => {
-                        choice.tightness > incumbent.tightness + 1e-12
-                            || ((choice.tightness - incumbent.tightness).abs() <= 1e-12
-                                && candidate_load < incumbent_load - 1e-12)
-                    }
-                };
-                if better {
-                    best = Some((core, choice, candidate_load));
-                }
-            }
-            match best {
-                Some((core, choice, _)) => {
-                    placed[core.0].push((sec_id, choice));
-                    placements[sec_id.0] = Some(SecurityPlacement {
-                        core,
-                        period: choice.period,
-                        tightness: choice.tightness,
-                    });
-                }
-                None => return Err(AllocationError::SecurityUnschedulable { task: Some(sec_id) }),
-            }
-        }
-
-        let placements: Vec<SecurityPlacement> = placements
-            .into_iter()
-            .map(|p| p.expect("every security task was placed or we returned early"))
-            .collect();
-        Ok(Allocation::new(rt_partition.clone(), placements))
-    }
 }
 
 impl Allocator for HydraAllocator {
@@ -135,32 +70,128 @@ impl Allocator for HydraAllocator {
         "HYDRA"
     }
 
-    fn allocate(&self, problem: &AllocationProblem) -> Result<Allocation, AllocationError> {
-        let rt_partition =
-            partition_tasks(&problem.rt_tasks, problem.cores, &problem.partition_config).map_err(
-                |e| AllocationError::RtPartitionFailed {
-                    task: e.task,
-                    cores: problem.cores,
-                },
-            )?;
-        self.allocate_with_partition(&problem.rt_tasks, &rt_partition, &problem.security_tasks)
-    }
-
     fn allocate_with_rt_partition(
         &self,
         problem: &AllocationProblem,
         rt_partition: &Partition,
     ) -> Result<Allocation, AllocationError> {
-        self.allocate_with_partition(&problem.rt_tasks, rt_partition, &problem.security_tasks)
+        place(
+            problem,
+            rt_partition,
+            problem.security_tasks.priority_order(),
+            0..rt_partition.cores(),
+            |_, _| Time::ZERO,
+            |_| true,
+        )
     }
+}
+
+/// A core [`place`] considers for a security task, as an admission rule
+/// sees it.
+pub(crate) struct Candidate<'a> {
+    /// The task being placed.
+    pub(crate) task: SecurityTaskId,
+    /// The candidate core.
+    pub(crate) core: CoreId,
+    /// The interference of the real-time tasks on `core` (Eq. 5's first
+    /// sum).
+    pub(crate) rt_bound: &'a InterferenceBound,
+    /// The security tasks already placed on `core`, in placement order, with
+    /// the choices they were granted.
+    pub(crate) placed: &'a [(SecurityTaskId, PeriodChoice)],
+}
+
+/// Algorithm 1: places the security tasks of `problem` one at a time, in
+/// `order`, each on the candidate core that grants it the best tightness.
+///
+/// For each task, `floor(task, placements so far)` bounds its period from
+/// below (`Time::ZERO` for none). On each core of `cores` the task's period
+/// solves Eq. (7) against the core's real-time tasks and every security task
+/// already placed there; a core where Eq. (7) has no solution, or which
+/// `admit` refuses, is skipped. The best core gives the higher tightness
+/// (beyond 1e-12), then the lower interfering load (beyond 1e-12), then the
+/// lower index.
+///
+/// # Errors
+///
+/// Returns [`AllocationError::SecurityUnschedulable`] naming the first task
+/// that no candidate core admits.
+pub(crate) fn place(
+    problem: &AllocationProblem,
+    rt_partition: &Partition,
+    order: &[SecurityTaskId],
+    cores: Range<usize>,
+    floor: impl Fn(SecurityTaskId, &[Option<SecurityPlacement>]) -> Time,
+    admit: impl Fn(&Candidate<'_>) -> bool,
+) -> Result<Allocation, AllocationError> {
+    let tasks = &problem.security_tasks;
+    let rt_bounds: Vec<InterferenceBound> = cores
+        .clone()
+        .map(|m| rt_interference_on(&problem.rt_tasks, rt_partition, CoreId(m)))
+        .collect();
+    // The security tasks placed so far, per candidate core.
+    let mut placed: Vec<Vec<(SecurityTaskId, PeriodChoice)>> = vec![Vec::new(); rt_bounds.len()];
+    let mut placements: Vec<Option<SecurityPlacement>> = vec![None; tasks.len()];
+
+    for &id in order {
+        let task = &tasks[id];
+        let lower = floor(id, &placements);
+        let mut best: Option<(usize, PeriodChoice, f64)> = None;
+        for (slot, (rt_bound, on_core)) in rt_bounds.iter().zip(&placed).enumerate() {
+            let bound = rt_bound.plus(&security_interference(
+                on_core
+                    .iter()
+                    .map(|(h, choice)| (&tasks[*h], choice.period)),
+            ));
+            let Some(choice) = adapt_period_from(task, lower, &bound) else {
+                continue;
+            };
+            let candidate = Candidate {
+                task: id,
+                core: CoreId(cores.start + slot),
+                rt_bound,
+                placed: on_core,
+            };
+            if !admit(&candidate) {
+                continue;
+            }
+            let load = bound.slope;
+            let better = match &best {
+                None => true,
+                Some((_, incumbent, incumbent_load)) => {
+                    choice.tightness > incumbent.tightness + 1e-12
+                        || ((choice.tightness - incumbent.tightness).abs() <= 1e-12
+                            && load < incumbent_load - 1e-12)
+                }
+            };
+            if better {
+                best = Some((slot, choice, load));
+            }
+        }
+        let Some((slot, choice, _)) = best else {
+            return Err(AllocationError::SecurityUnschedulable { task: Some(id) });
+        };
+        placed[slot].push((id, choice));
+        placements[id.0] = Some(SecurityPlacement {
+            core: CoreId(cores.start + slot),
+            period: choice.period,
+            tightness: choice.tightness,
+        });
+    }
+
+    let placements: Vec<SecurityPlacement> = placements
+        .into_iter()
+        .map(|p| p.expect("`order` lists every security task exactly once"))
+        .collect();
+    Ok(Allocation::new(rt_partition.clone(), placements))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::joint::plan_is_feasible;
-    use crate::security::SecurityTask;
-    use rt_core::{RtTask, Time};
+    use crate::security::{SecurityTask, SecurityTaskSet};
+    use rt_core::{RtTask, TaskSet};
 
     fn rt(c_ms: u64, t_ms: u64) -> RtTask {
         RtTask::implicit_deadline(Time::from_millis(c_ms), Time::from_millis(t_ms)).unwrap()

@@ -1,18 +1,34 @@
-//! Allocation schemes: HYDRA, the SingleCore baseline and the exhaustive
-//! Optimal baseline.
+//! Allocation schemes: HYDRA and its NP-HYDRA and Precedence variants, the
+//! SingleCore baseline and the exhaustive Optimal baseline.
 //!
 //! All schemes implement the [`Allocator`] trait so the experiment harness
 //! and the examples can swap them freely.
+//!
+//! The four greedy schemes run one placement loop, HYDRA's Algorithm 1
+//! (`hydra::place`): take the security tasks in a placement order, solve
+//! Eq. (7) on every candidate core, and place each task on the core that
+//! grants it the best tightness. Each scheme sets the loop's four
+//! parameters:
+//!
+//! | scheme | order | candidate cores | period floor | admission rule |
+//! |---|---|---|---|---|
+//! | [`HydraAllocator`] | priority | every core | none | every core |
+//! | [`NpHydraAllocator`](crate::NpHydraAllocator) | priority | every core | none | the blocking checks of [`crate::nonpreemptive`] |
+//! | [`PrecedenceHydraAllocator`](crate::PrecedenceHydraAllocator) | [`PrecedenceGraph::allocation_order`](crate::PrecedenceGraph::allocation_order) | every core | the largest period granted to a predecessor | every core |
+//! | [`SingleCoreAllocator`] | priority | the dedicated core | none | every core |
+//!
+//! [`OptimalAllocator`] searches the assignments exhaustively instead.
 
 mod hydra;
 mod optimal;
 mod single_core;
 
 pub use hydra::HydraAllocator;
+pub(crate) use hydra::{place, Candidate};
 pub use optimal::{OptimalAllocator, SearchStats};
 pub use single_core::SingleCoreAllocator;
 
-use rt_partition::Partition;
+use rt_partition::{partition_tasks, Partition};
 
 use crate::allocation::{Allocation, AllocationError, AllocationProblem};
 
@@ -23,12 +39,20 @@ pub trait Allocator {
 
     /// Allocates the security tasks of `problem` onto its cores.
     ///
+    /// The provided method partitions the real-time tasks onto all
+    /// `problem.cores` cores under `problem.partition_config` and then calls
+    /// [`Allocator::allocate_with_rt_partition`]. [`SingleCoreAllocator`]
+    /// overrides it, because it partitions onto `M − 1` cores.
+    ///
     /// # Errors
     ///
     /// Returns an [`AllocationError`] when the real-time workload cannot be
     /// partitioned or no feasible placement/period exists for some security
     /// task under this scheme.
-    fn allocate(&self, problem: &AllocationProblem) -> Result<Allocation, AllocationError>;
+    fn allocate(&self, problem: &AllocationProblem) -> Result<Allocation, AllocationError> {
+        let rt_partition = partition_rt(problem, problem.cores)?;
+        self.allocate_with_rt_partition(problem, &rt_partition)
+    }
 
     /// Allocates against an **already-partitioned** real-time workload,
     /// skipping this scheme's own `partition_tasks` call.
@@ -50,6 +74,25 @@ pub trait Allocator {
         problem: &AllocationProblem,
         rt_partition: &Partition,
     ) -> Result<Allocation, AllocationError>;
+}
+
+/// Partitions the real-time tasks of `problem` onto `cores` cores under its
+/// partition config.
+///
+/// # Errors
+///
+/// Returns [`AllocationError::RtPartitionFailed`] when some real-time task
+/// fits on no core.
+pub(crate) fn partition_rt(
+    problem: &AllocationProblem,
+    cores: usize,
+) -> Result<Partition, AllocationError> {
+    partition_tasks(&problem.rt_tasks, cores, &problem.partition_config).map_err(|e| {
+        AllocationError::RtPartitionFailed {
+            task: e.task,
+            cores,
+        }
+    })
 }
 
 #[cfg(test)]

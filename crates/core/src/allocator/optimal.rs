@@ -54,10 +54,10 @@
 use std::collections::HashMap;
 
 use rt_core::Time;
-use rt_partition::{partition_tasks, CoreId, Partition};
+use rt_partition::{CoreId, Partition};
 
 use crate::allocation::{Allocation, AllocationError, AllocationProblem, SecurityPlacement};
-use crate::allocator::Allocator;
+use crate::allocator::{partition_rt, Allocator};
 use crate::interference::{rt_interference_on, InterferenceBound};
 use crate::joint::{optimize_core_periods, CorePlan, JointOptions};
 use crate::period::minimize_linear_fractional;
@@ -136,13 +136,7 @@ impl OptimalAllocator {
         &self,
         problem: &AllocationProblem,
     ) -> Result<(Allocation, SearchStats), AllocationError> {
-        let rt_partition =
-            partition_tasks(&problem.rt_tasks, problem.cores, &problem.partition_config).map_err(
-                |e| AllocationError::RtPartitionFailed {
-                    task: e.task,
-                    cores: problem.cores,
-                },
-            )?;
+        let rt_partition = partition_rt(problem, problem.cores)?;
         self.allocate_with_rt_partition_stats(problem, &rt_partition)
     }
 
@@ -535,10 +529,6 @@ impl Allocator for OptimalAllocator {
         "Optimal"
     }
 
-    fn allocate(&self, problem: &AllocationProblem) -> Result<Allocation, AllocationError> {
-        self.allocate_with_stats(problem).map(|(a, _)| a)
-    }
-
     fn allocate_with_rt_partition(
         &self,
         problem: &AllocationProblem,
@@ -556,6 +546,7 @@ mod tests {
     use crate::security::{SecurityTask, SecurityTaskSet};
     use proptest::prelude::*;
     use rt_core::{RtTask, TaskSet, Time};
+    use rt_partition::partition_tasks;
 
     fn rt(c_ms: u64, t_ms: u64) -> RtTask {
         RtTask::implicit_deadline(Time::from_millis(c_ms), Time::from_millis(t_ms)).unwrap()

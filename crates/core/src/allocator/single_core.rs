@@ -7,13 +7,11 @@
 //! share one core, so lower-priority security tasks can still be stretched by
 //! the higher-priority ones.
 
-use rt_partition::{partition_tasks, CoreId, Partition};
+use rt_core::Time;
+use rt_partition::{CoreId, Partition};
 
-use crate::allocation::{Allocation, AllocationError, AllocationProblem, SecurityPlacement};
-use crate::allocator::Allocator;
-use crate::interference::{security_interference, InterferenceBound};
-use crate::period::{adapt_period, PeriodChoice};
-use crate::security::SecurityTaskId;
+use crate::allocation::{Allocation, AllocationError, AllocationProblem};
+use crate::allocator::{partition_rt, place, Allocator};
 
 /// The SingleCore allocation scheme: all security tasks on one dedicated
 /// core, all real-time tasks on the remaining `M − 1` cores.
@@ -83,19 +81,11 @@ impl Allocator for SingleCoreAllocator {
                 required: 2,
             });
         }
-        let rt_cores = problem.cores - 1;
         // Partition the real-time tasks onto the first M − 1 cores, then
         // re-express over the full platform (the dedicated core simply hosts
         // no real-time task).
-        let rt_partition_small =
-            partition_tasks(&problem.rt_tasks, rt_cores, &problem.partition_config).map_err(
-                |e| AllocationError::RtPartitionFailed {
-                    task: e.task,
-                    cores: rt_cores,
-                },
-            )?;
-        let rt_partition =
-            Self::widen_partition(&rt_partition_small, problem.cores, problem.rt_tasks.len());
+        let small = partition_rt(problem, problem.cores - 1)?;
+        let rt_partition = Self::widen_partition(&small, problem.cores, problem.rt_tasks.len());
         self.allocate_with_rt_partition(problem, &rt_partition)
     }
 
@@ -115,35 +105,16 @@ impl Allocator for SingleCoreAllocator {
             rt_partition.tasks_on(security_core).is_empty(),
             "the dedicated security core must host no real-time task"
         );
-        let mut placed: Vec<(SecurityTaskId, PeriodChoice)> = Vec::new();
-        let mut placements: Vec<Option<SecurityPlacement>> =
-            vec![None; problem.security_tasks.len()];
-
-        for &sec_id in problem.security_tasks.priority_order() {
-            let task = &problem.security_tasks[sec_id];
-            // No real-time interference on the dedicated core; only the
-            // higher-priority security tasks already placed there.
-            let bound: InterferenceBound = security_interference(
-                placed
-                    .iter()
-                    .map(|(id, choice)| (&problem.security_tasks[*id], choice.period)),
-            );
-            let Some(choice) = adapt_period(task, &bound) else {
-                return Err(AllocationError::SecurityUnschedulable { task: Some(sec_id) });
-            };
-            placed.push((sec_id, choice));
-            placements[sec_id.0] = Some(SecurityPlacement {
-                core: security_core,
-                period: choice.period,
-                tightness: choice.tightness,
-            });
-        }
-
-        let placements: Vec<SecurityPlacement> = placements
-            .into_iter()
-            .map(|p| p.expect("every security task was placed or we returned early"))
-            .collect();
-        Ok(Allocation::new(rt_partition.clone(), placements))
+        // The dedicated core is the only candidate: its real-time bound is
+        // zero, so each task sees only the higher-priority security tasks.
+        place(
+            problem,
+            rt_partition,
+            problem.security_tasks.priority_order(),
+            security_core.0..security_core.0 + 1,
+            |_, _| Time::ZERO,
+            |_| true,
+        )
     }
 }
 
@@ -151,8 +122,8 @@ impl Allocator for SingleCoreAllocator {
 mod tests {
     use super::*;
     use crate::allocator::HydraAllocator;
-    use crate::security::{SecurityTask, SecurityTaskSet};
-    use rt_core::{RtTask, TaskSet, Time};
+    use crate::security::{SecurityTask, SecurityTaskId, SecurityTaskSet};
+    use rt_core::{RtTask, TaskSet};
 
     fn rt(c_ms: u64, t_ms: u64) -> RtTask {
         RtTask::implicit_deadline(Time::from_millis(c_ms), Time::from_millis(t_ms)).unwrap()

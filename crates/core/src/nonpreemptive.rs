@@ -5,35 +5,35 @@
 //! guarantees they can never perturb the real-time workload. If a security
 //! check must run non-preemptively (e.g. to observe a consistent snapshot),
 //! it can block *every* task on its core — real-time tasks included — for up
-//! to its own WCET. The [`NpHydraAllocator`] therefore extends Algorithm 1
-//! with three additional obligations when it considers hosting a
-//! non-preemptive security task `τ_s` (WCET `C_s`) on core `π_m`:
+//! to its own WCET. The [`NpHydraAllocator`] therefore runs HYDRA's placement
+//! loop (same order, every core, no period floor) with an admission rule.
+//! A preemptive task is admitted on every core, so on a workload without
+//! non-preemptive tasks NP-HYDRA is HYDRA. A non-preemptive security task
+//! `τ_s` (WCET `C_s`) is admitted on core `π_m` only if
 //!
-//! 1. every **real-time task** on `π_m` must stay schedulable under the
-//!    blocking-aware response-time recurrence `R = C + B + Σ ⌈R/T⌉·C` with
-//!    `B = max(C_s, existing non-preemptive blocking on π_m)`;
+//! 1. every **real-time task** on `π_m` stays schedulable under the
+//!    blocking-aware response-time recurrence `R = C + B + Σ ⌈R/T⌉·C`, with
+//!    `B` the largest WCET among `C_s` and the non-preemptive security tasks
+//!    already placed on `π_m`;
 //! 2. every **already-placed security task** on `π_m` (all of which have
-//!    higher priority, because HYDRA walks tasks in priority order) must
-//!    still meet its granted period once the new blocking term is added to
-//!    its Eq. (6) constraint;
-//! 3. the new task itself is admitted with the usual period-adaptation rule
-//!    (its own non-preemptiveness does not change its *worst-case* response
-//!    bound — the linear bound of Eq. (5) already covers the preemptions it
-//!    no longer suffers).
+//!    higher priority, because HYDRA walks tasks in priority order) still
+//!    meets its granted period once `C_s` is added to its Eq. (6) constraint
+//!    as blocking.
 //!
-//! Cores violating any of these checks are simply excluded from the candidate
-//! set for that task, so the real-time guarantees are preserved by
-//! construction.
+//! The new task itself gets the usual Eq. (7) period: its own
+//! non-preemptiveness does not change its *worst-case* response bound — the
+//! linear bound of Eq. (5) already covers the preemptions it no longer
+//! suffers. Cores failing either check are excluded from the candidate set
+//! for that task, so the real-time guarantees are preserved by construction.
 
 use rt_core::rta::response_time_with_blocking;
 use rt_core::{RtTask, TaskSet, Time};
-use rt_partition::{partition_tasks, CoreId, Partition};
+use rt_partition::{CoreId, Partition};
 
-use crate::allocation::{Allocation, AllocationError, AllocationProblem, SecurityPlacement};
-use crate::allocator::Allocator;
-use crate::interference::{rt_interference_on, security_interference, InterferenceBound};
-use crate::period::{adapt_period, PeriodChoice};
-use crate::security::{SecurityTaskId, SecurityTaskSet};
+use crate::allocation::{Allocation, AllocationError, AllocationProblem};
+use crate::allocator::{place, Allocator, Candidate};
+use crate::interference::{security_interference, InterferenceBound};
+use crate::security::{SecurityTask, SecurityTaskSet};
 
 /// HYDRA with support for non-preemptive security tasks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -92,118 +92,52 @@ impl NpHydraAllocator {
         demand <= t + 1.0
     }
 
-    /// Runs the blocking-aware allocation against an already-partitioned
-    /// real-time workload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AllocationError::SecurityUnschedulable`] if some security
-    /// task has no core that passes all blocking checks with a feasible
-    /// period.
-    pub fn allocate_with_partition(
-        &self,
+    /// The admission rule: a preemptive task fits every core; a
+    /// non-preemptive one only a core whose real-time tasks and placed
+    /// security tasks tolerate the blocking it adds.
+    fn admits(
+        tasks: &SecurityTaskSet,
         rt_tasks: &TaskSet,
-        rt_partition: &Partition,
-        security_tasks: &SecurityTaskSet,
-    ) -> Result<Allocation, AllocationError> {
-        let cores = rt_partition.cores();
-        let rt_bounds: Vec<InterferenceBound> = (0..cores)
-            .map(|m| rt_interference_on(rt_tasks, rt_partition, CoreId(m)))
-            .collect();
-
-        // Per core: placed (id, choice) pairs and the largest non-preemptive
-        // WCET placed so far (the blocking already imposed on that core).
-        let mut placed: Vec<Vec<(SecurityTaskId, PeriodChoice)>> = vec![Vec::new(); cores];
-        let mut np_blocking: Vec<Time> = vec![Time::ZERO; cores];
-        let mut placements: Vec<Option<SecurityPlacement>> = vec![None; security_tasks.len()];
-
-        for &sec_id in security_tasks.priority_order() {
-            let task = &security_tasks[sec_id];
-            let mut best: Option<(CoreId, PeriodChoice, f64)> = None;
-            for m in 0..cores {
-                let core = CoreId(m);
-                let sec_bound = security_interference(
-                    placed[m]
-                        .iter()
-                        .map(|(id, choice)| (&security_tasks[*id], choice.period)),
-                );
-                let bound = rt_bounds[m].plus(&sec_bound);
-
-                // The blocking this task suffers from non-preemptive tasks
-                // already on the core is at most np_blocking[m] only if those
-                // tasks were lower priority — they are not (placement order is
-                // by priority), so the task itself suffers no blocking yet.
-                let Some(choice) = adapt_period(task, &bound) else {
-                    continue;
-                };
-
-                if task.is_non_preemptive() {
-                    let blocking = np_blocking[m].max(task.wcet());
-                    // 1. Real-time tasks on this core must tolerate it.
-                    if !Self::rt_tasks_tolerate_blocking(rt_tasks, rt_partition, core, blocking) {
-                        continue;
-                    }
-                    // 2. Every higher-priority security task already granted a
-                    //    period on this core must still fit.
-                    let mut all_fit = true;
-                    for (k, (placed_id, placed_choice)) in placed[m].iter().enumerate() {
-                        let placed_task = &security_tasks[*placed_id];
-                        // Interference seen by that task: RT plus the security
-                        // tasks placed before it on the same core.
-                        let hp_bound = rt_bounds[m].plus(&security_interference(
-                            placed[m][..k]
-                                .iter()
-                                .map(|(id, c)| (&security_tasks[*id], c.period)),
-                        ));
-                        if !Self::placement_tolerates_blocking(
-                            placed_task.wcet(),
-                            placed_choice.period,
-                            &hp_bound,
-                            task.wcet(),
-                        ) {
-                            all_fit = false;
-                            break;
-                        }
-                    }
-                    if !all_fit {
-                        continue;
-                    }
-                }
-
-                let load = bound.slope;
-                let better = match &best {
-                    None => true,
-                    Some((_, incumbent, incumbent_load)) => {
-                        choice.tightness > incumbent.tightness + 1e-12
-                            || ((choice.tightness - incumbent.tightness).abs() <= 1e-12
-                                && load < incumbent_load - 1e-12)
-                    }
-                };
-                if better {
-                    best = Some((core, choice, load));
-                }
-            }
-            match best {
-                Some((core, choice, _)) => {
-                    placed[core.0].push((sec_id, choice));
-                    if task.is_non_preemptive() {
-                        np_blocking[core.0] = np_blocking[core.0].max(task.wcet());
-                    }
-                    placements[sec_id.0] = Some(SecurityPlacement {
-                        core,
-                        period: choice.period,
-                        tightness: choice.tightness,
-                    });
-                }
-                None => return Err(AllocationError::SecurityUnschedulable { task: Some(sec_id) }),
-            }
+        partition: &Partition,
+        candidate: &Candidate<'_>,
+    ) -> bool {
+        let task = &tasks[candidate.task];
+        if !task.is_non_preemptive() {
+            return true;
         }
-
-        let placements: Vec<SecurityPlacement> = placements
-            .into_iter()
-            .map(|p| p.expect("every task was placed or we returned early"))
-            .collect();
-        Ok(Allocation::new(rt_partition.clone(), placements))
+        // The blocking already imposed on the core: the largest
+        // non-preemptive WCET placed there.
+        let blocking = candidate
+            .placed
+            .iter()
+            .map(|(id, _)| &tasks[*id])
+            .filter(|placed| placed.is_non_preemptive())
+            .map(SecurityTask::wcet)
+            .fold(task.wcet(), Time::max);
+        // 1. Real-time tasks on this core must tolerate it.
+        if !Self::rt_tasks_tolerate_blocking(rt_tasks, partition, candidate.core, blocking) {
+            return false;
+        }
+        // 2. Every higher-priority security task already granted a period on
+        //    this core must still fit, against the interference of the real-
+        //    time tasks and of the security tasks placed before it.
+        candidate
+            .placed
+            .iter()
+            .enumerate()
+            .all(|(k, (id, choice))| {
+                let hp_bound = candidate.rt_bound.plus(&security_interference(
+                    candidate.placed[..k]
+                        .iter()
+                        .map(|(h, c)| (&tasks[*h], c.period)),
+                ));
+                Self::placement_tolerates_blocking(
+                    tasks[*id].wcet(),
+                    choice.period,
+                    &hp_bound,
+                    task.wcet(),
+                )
+            })
     }
 }
 
@@ -212,23 +146,20 @@ impl Allocator for NpHydraAllocator {
         "HYDRA+non-preemptive"
     }
 
-    fn allocate(&self, problem: &AllocationProblem) -> Result<Allocation, AllocationError> {
-        let rt_partition =
-            partition_tasks(&problem.rt_tasks, problem.cores, &problem.partition_config).map_err(
-                |e| AllocationError::RtPartitionFailed {
-                    task: e.task,
-                    cores: problem.cores,
-                },
-            )?;
-        self.allocate_with_partition(&problem.rt_tasks, &rt_partition, &problem.security_tasks)
-    }
-
     fn allocate_with_rt_partition(
         &self,
         problem: &AllocationProblem,
         rt_partition: &Partition,
     ) -> Result<Allocation, AllocationError> {
-        self.allocate_with_partition(&problem.rt_tasks, rt_partition, &problem.security_tasks)
+        let tasks = &problem.security_tasks;
+        place(
+            problem,
+            rt_partition,
+            tasks.priority_order(),
+            0..rt_partition.cores(),
+            |_, _| Time::ZERO,
+            |candidate| Self::admits(tasks, &problem.rt_tasks, rt_partition, candidate),
+        )
     }
 }
 
@@ -236,7 +167,7 @@ impl Allocator for NpHydraAllocator {
 mod tests {
     use super::*;
     use crate::allocator::HydraAllocator;
-    use crate::security::SecurityTask;
+    use crate::security::SecurityTaskId;
 
     fn rt(c_ms: u64, t_ms: u64) -> RtTask {
         RtTask::implicit_deadline(Time::from_millis(c_ms), Time::from_millis(t_ms)).unwrap()

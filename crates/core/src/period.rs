@@ -17,8 +17,9 @@
 //! ```
 //!
 //! feasible iff `slope < 1` and `T_s* ≤ T_s^max`. [`adapt_period`] implements
-//! the closed form; the unit tests cross-check it against a bisection
-//! search of the same constraint.
+//! the closed form, and [`adapt_period_from`] the same with a floor above
+//! `T_s^des`; the unit tests cross-check it against a bisection search of
+//! the same constraint.
 
 use rt_core::Time;
 
@@ -29,7 +30,8 @@ use crate::security::SecurityTask;
 /// core: the granted period and the resulting tightness `η_s`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeriodChoice {
-    /// Granted period `T_s` (the smallest feasible period ≥ `T_s^des`).
+    /// Granted period `T_s` (the smallest feasible period ≥ `T_s^des` and
+    /// any floor the scheme sets).
     pub period: Time,
     /// Tightness `η_s = T_s^des / T_s ∈ (0, 1]`.
     pub tightness: f64,
@@ -87,7 +89,26 @@ pub(crate) fn minimize_linear_fractional(lower: f64, upper: f64, a: f64, b: f64)
 /// feasible host for this task).
 #[must_use]
 pub fn adapt_period(task: &SecurityTask, interference: &InterferenceBound) -> Option<PeriodChoice> {
-    let lower = task.desired_period().as_ticks() as f64;
+    adapt_period_from(task, task.desired_period(), interference)
+}
+
+/// Solves Eq. (7) with the period further bounded below by `lower`: the
+/// smallest feasible period in `[max(T^des, lower), T^max]`. The precedence
+/// scheme passes the largest period granted to a task's predecessors.
+///
+/// Returns `None` when `lower > T^max` or no period in that range satisfies
+/// the schedulability constraint on the candidate core.
+#[must_use]
+pub fn adapt_period_from(
+    task: &SecurityTask,
+    lower: Time,
+    interference: &InterferenceBound,
+) -> Option<PeriodChoice> {
+    let lower = lower.max(task.desired_period());
+    if lower > task.max_period() {
+        return None;
+    }
+    let lower = lower.as_ticks() as f64;
     let upper = task.max_period().as_ticks() as f64;
     let a = task.wcet().as_ticks() as f64 + interference.constant;
     let b = interference.slope;
@@ -366,6 +387,29 @@ mod tests {
         let too_much = bound(1500.0, 0.5);
         assert_eq!(adapt_period(&pinned, &too_much), None);
         assert_eq!(bisected_period(&pinned, &too_much), None);
+    }
+
+    #[test]
+    fn a_floor_raises_the_period_or_leaves_no_core() {
+        // Unconstrained the task gets its desired 1 s; with a 1.5 s floor it
+        // gets the floor, and a floor beyond T^max = 2 s leaves nothing.
+        let task = sec(100, 1000, 2000);
+        let b = bound(0.0, 0.0);
+        let floored = adapt_period_from(&task, Time::from_millis(1500), &b).unwrap();
+        assert_eq!(floored.period, Time::from_millis(1500));
+        assert!((floored.tightness - 1.0 / 1.5).abs() < 1e-12);
+        assert_eq!(adapt_period_from(&task, Time::from_millis(2001), &b), None);
+        // A floor below T^des or below the interference-driven optimum does
+        // nothing: T* = (100 + 200)/(1 − 0.8) = 1500 ms.
+        let busy = bound(200.0, 0.8);
+        assert_eq!(
+            adapt_period_from(&task, Time::from_millis(1200), &busy),
+            adapt_period(&task, &busy)
+        );
+        assert_eq!(
+            adapt_period_from(&task, Time::ZERO, &b),
+            adapt_period(&task, &b)
+        );
     }
 
     #[test]

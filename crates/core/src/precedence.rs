@@ -14,16 +14,20 @@
 //!   successor is never smaller than the granted period of any of its
 //!   predecessors (the predecessor check must have had a chance to run at
 //!   least as recently as the dependent check).
+//!
+//! The allocator runs HYDRA's placement loop with two of its parameters
+//! changed: the order is [`PrecedenceGraph::allocation_order`], and the
+//! floor on each task's period is the largest period granted to its
+//! predecessors. With no edge the order is the priority order and the floor
+//! is zero, so the result is HYDRA's.
 
 use std::collections::VecDeque;
 
-use rt_core::TaskSet;
-use rt_partition::{partition_tasks, CoreId, Partition};
+use rt_core::Time;
+use rt_partition::Partition;
 
-use crate::allocation::{Allocation, AllocationError, AllocationProblem, SecurityPlacement};
-use crate::allocator::Allocator;
-use crate::interference::{rt_interference_on, security_interference, InterferenceBound};
-use crate::period::{minimize_linear_fractional, PeriodChoice};
+use crate::allocation::{Allocation, AllocationError, AllocationProblem};
+use crate::allocator::{place, Allocator};
 use crate::security::{SecurityTaskId, SecurityTaskSet};
 
 /// Errors specific to precedence handling.
@@ -253,104 +257,6 @@ impl PrecedenceHydraAllocator {
     pub fn graph(&self) -> &PrecedenceGraph {
         &self.graph
     }
-
-    /// Runs the precedence-aware allocation against an already-partitioned
-    /// real-time workload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AllocationError::SecurityUnschedulable`] if a task has no
-    /// feasible core/period, and propagates an invalid graph as the same
-    /// error with no task attached.
-    pub fn allocate_with_partition(
-        &self,
-        rt_tasks: &TaskSet,
-        rt_partition: &Partition,
-        security_tasks: &SecurityTaskSet,
-    ) -> Result<Allocation, AllocationError> {
-        let order = self
-            .graph
-            .allocation_order(security_tasks)
-            .map_err(|_| AllocationError::SecurityUnschedulable { task: None })?;
-        let cores = rt_partition.cores();
-        let rt_bounds: Vec<InterferenceBound> = (0..cores)
-            .map(|m| rt_interference_on(rt_tasks, rt_partition, CoreId(m)))
-            .collect();
-
-        let mut placed: Vec<Vec<(SecurityTaskId, PeriodChoice)>> = vec![Vec::new(); cores];
-        let mut placements: Vec<Option<SecurityPlacement>> = vec![None; security_tasks.len()];
-
-        for sec_id in order {
-            let task = &security_tasks[sec_id];
-            // Precedence lower bound: the successor may not run more often
-            // than its slowest predecessor actually runs.
-            let predecessor_floor = self
-                .graph
-                .predecessors(sec_id)
-                .iter()
-                .filter_map(|pred| placements[pred.0].as_ref().map(|p| p.period))
-                .max()
-                .unwrap_or(rt_core::Time::ZERO);
-            let lower = task.desired_period().max(predecessor_floor);
-            if lower > task.max_period() {
-                return Err(AllocationError::SecurityUnschedulable { task: Some(sec_id) });
-            }
-
-            let mut best: Option<(CoreId, PeriodChoice, f64)> = None;
-            for m in 0..cores {
-                let sec_bound = security_interference(
-                    placed[m]
-                        .iter()
-                        .map(|(id, choice)| (&security_tasks[*id], choice.period)),
-                );
-                let bound = rt_bounds[m].plus(&sec_bound);
-                // Same closed form as Eq. (7), but with the precedence floor
-                // as the lower period bound.
-                let lower_ticks = lower.as_ticks() as f64;
-                let upper_ticks = task.max_period().as_ticks() as f64;
-                let a = task.wcet().as_ticks() as f64 + bound.constant;
-                let Some(period) =
-                    minimize_linear_fractional(lower_ticks, upper_ticks, a, bound.slope)
-                else {
-                    continue;
-                };
-                let period = rt_core::Time::from_ticks(period.ceil() as u64);
-                let choice = PeriodChoice {
-                    period,
-                    tightness: task.tightness(period),
-                };
-                let load = bound.slope;
-                let better = match &best {
-                    None => true,
-                    Some((_, incumbent, incumbent_load)) => {
-                        choice.tightness > incumbent.tightness + 1e-12
-                            || ((choice.tightness - incumbent.tightness).abs() <= 1e-12
-                                && load < incumbent_load - 1e-12)
-                    }
-                };
-                if better {
-                    best = Some((CoreId(m), choice, load));
-                }
-            }
-            match best {
-                Some((core, choice, _)) => {
-                    placed[core.0].push((sec_id, choice));
-                    placements[sec_id.0] = Some(SecurityPlacement {
-                        core,
-                        period: choice.period,
-                        tightness: choice.tightness,
-                    });
-                }
-                None => return Err(AllocationError::SecurityUnschedulable { task: Some(sec_id) }),
-            }
-        }
-
-        let placements: Vec<SecurityPlacement> = placements
-            .into_iter()
-            .map(|p| p.expect("every task was placed or we returned early"))
-            .collect();
-        Ok(Allocation::new(rt_partition.clone(), placements))
-    }
 }
 
 impl Allocator for PrecedenceHydraAllocator {
@@ -358,23 +264,32 @@ impl Allocator for PrecedenceHydraAllocator {
         "HYDRA+precedence"
     }
 
-    fn allocate(&self, problem: &AllocationProblem) -> Result<Allocation, AllocationError> {
-        let rt_partition =
-            partition_tasks(&problem.rt_tasks, problem.cores, &problem.partition_config).map_err(
-                |e| AllocationError::RtPartitionFailed {
-                    task: e.task,
-                    cores: problem.cores,
-                },
-            )?;
-        self.allocate_with_partition(&problem.rt_tasks, &rt_partition, &problem.security_tasks)
-    }
-
     fn allocate_with_rt_partition(
         &self,
         problem: &AllocationProblem,
         rt_partition: &Partition,
     ) -> Result<Allocation, AllocationError> {
-        self.allocate_with_partition(&problem.rt_tasks, rt_partition, &problem.security_tasks)
+        let order = self
+            .graph
+            .allocation_order(&problem.security_tasks)
+            .map_err(|_| AllocationError::SecurityUnschedulable { task: None })?;
+        place(
+            problem,
+            rt_partition,
+            &order,
+            0..rt_partition.cores(),
+            // A successor may not run more often than its slowest
+            // predecessor actually runs.
+            |id, placements| {
+                self.graph
+                    .predecessors(id)
+                    .iter()
+                    .filter_map(|pred| placements[pred.0].map(|p| p.period))
+                    .max()
+                    .unwrap_or(Time::ZERO)
+            },
+            |_| true,
+        )
     }
 }
 

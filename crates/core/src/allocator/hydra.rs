@@ -99,6 +99,8 @@ pub(crate) struct Candidate<'a> {
     /// The security tasks already placed on `core`, in placement order, with
     /// the choices they were granted.
     pub(crate) placed: &'a [(SecurityTaskId, PeriodChoice)],
+    /// The period Eq. (7) grants `task` on `core`.
+    pub(crate) period: Time,
 }
 
 /// Algorithm 1: places the security tasks of `problem` one at a time, in
@@ -151,6 +153,7 @@ pub(crate) fn place(
                 core: CoreId(cores.start + slot),
                 rt_bound,
                 placed: on_core,
+                period: choice.period,
             };
             if !admit(&candidate) {
                 continue;

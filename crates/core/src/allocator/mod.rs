@@ -14,7 +14,7 @@
 //! |---|---|---|---|---|
 //! | [`HydraAllocator`] | priority | every core | none | every core |
 //! | [`NpHydraAllocator`](crate::NpHydraAllocator) | priority | every core | none | the blocking checks of [`crate::nonpreemptive`] |
-//! | [`PrecedenceHydraAllocator`](crate::PrecedenceHydraAllocator) | [`PrecedenceGraph::allocation_order`](crate::PrecedenceGraph::allocation_order) | every core | the largest period granted to a predecessor | every core |
+//! | [`PrecedenceHydraAllocator`](crate::PrecedenceHydraAllocator) | [`PrecedenceGraph::allocation_order`](crate::PrecedenceGraph::allocation_order) | every core | the largest period granted to a predecessor | a `(T^max, id)` re-check of the core when the task outranks one already there |
 //! | [`SingleCoreAllocator`] | priority | the dedicated core | none | every core |
 //!
 //! [`OptimalAllocator`] searches the assignments exhaustively instead.

@@ -15,11 +15,25 @@
 //!   predecessors (the predecessor check must have had a chance to run at
 //!   least as recently as the dependent check).
 //!
-//! The allocator runs HYDRA's placement loop with two of its parameters
-//! changed: the order is [`PrecedenceGraph::allocation_order`], and the
-//! floor on each task's period is the largest period granted to its
-//! predecessors. With no edge the order is the priority order and the floor
-//! is zero, so the result is HYDRA's.
+//! The allocator runs HYDRA's placement loop with three of its parameters
+//! changed: the order is [`PrecedenceGraph::allocation_order`], the floor on
+//! each task's period is the largest period granted to its predecessors,
+//! and an admission rule re-checks a core when the new task outranks a task
+//! already placed there.
+//!
+//! The re-check is needed because a core schedules its security tasks by
+//! `(T^max, id)` whatever order they were placed in. A predecessor with a
+//! lower priority than its successor is granted its period before the
+//! successor lands on its core, so the successor's interference was not
+//! part of that grant. When the new task outranks a task already on the
+//! candidate core, the core is admitted only if [`plan_is_feasible`] holds
+//! for all its security tasks, sorted by `(T^max, id)`, with the new task
+//! at its candidate period. Otherwise the new task ranks below every task on
+//! the core, its period already counts all of them, and the rule admits
+//! without computing anything.
+//!
+//! With no edge the order is the priority order, the floor is zero and no
+//! task ever outranks one already placed, so the result is HYDRA's.
 
 use std::collections::VecDeque;
 
@@ -27,8 +41,9 @@ use rt_core::Time;
 use rt_partition::Partition;
 
 use crate::allocation::{Allocation, AllocationError, AllocationProblem};
-use crate::allocator::{place, Allocator};
-use crate::security::{SecurityTaskId, SecurityTaskSet};
+use crate::allocator::{place, Allocator, Candidate};
+use crate::joint::plan_is_feasible;
+use crate::security::{SecurityTask, SecurityTaskId, SecurityTaskSet};
 
 /// Errors specific to precedence handling.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -257,6 +272,27 @@ impl PrecedenceHydraAllocator {
     pub fn graph(&self) -> &PrecedenceGraph {
         &self.graph
     }
+
+    /// The admission rule: when the new task outranks a task already on
+    /// the core, every security task on the core must still meet Eq. (6)
+    /// in `(T^max, id)` order, the new task at its candidate period.
+    fn admits(tasks: &SecurityTaskSet, candidate: &Candidate<'_>) -> bool {
+        let rank = |id: SecurityTaskId| (tasks[id].max_period(), id.0);
+        let new_rank = rank(candidate.task);
+        if candidate.placed.iter().all(|(id, _)| rank(*id) < new_rank) {
+            return true;
+        }
+        let mut plan: Vec<(SecurityTaskId, Time)> = candidate
+            .placed
+            .iter()
+            .map(|(id, choice)| (*id, choice.period))
+            .chain([(candidate.task, candidate.period)])
+            .collect();
+        plan.sort_by_key(|&(id, _)| rank(id));
+        let members: Vec<&SecurityTask> = plan.iter().map(|&(id, _)| &tasks[id]).collect();
+        let periods: Vec<Time> = plan.iter().map(|&(_, period)| period).collect();
+        plan_is_feasible(&members, candidate.rt_bound, &periods)
+    }
 }
 
 impl Allocator for PrecedenceHydraAllocator {
@@ -288,7 +324,7 @@ impl Allocator for PrecedenceHydraAllocator {
                     .max()
                     .unwrap_or(Time::ZERO)
             },
-            |_| true,
+            |candidate| Self::admits(&problem.security_tasks, candidate),
         )
     }
 }
@@ -456,6 +492,45 @@ mod tests {
                 "dependent check {dependent} runs more often than the self-check"
             );
         }
+    }
+
+    #[test]
+    fn a_lower_priority_predecessor_keeps_its_deadline() {
+        // A precedes B but B outranks A (T^max 3 s < 30 s). Placed first, A
+        // gets 1 s; B then needs 2.2 s next to it. Under B's interference
+        // A's first job would end at 1.1 s, after its 1 s deadline, so the
+        // only core is refused for B.
+        let tasks: SecurityTaskSet = vec![sec(500, 1000, 30_000), sec(600, 1000, 3_000)]
+            .into_iter()
+            .collect();
+        let mut graph = PrecedenceGraph::new(2);
+        graph
+            .add_dependency(SecurityTaskId(0), SecurityTaskId(1))
+            .unwrap();
+        let problem = AllocationProblem::new(rt_core::TaskSet::empty(), tasks, 1);
+        assert_eq!(
+            PrecedenceHydraAllocator::new(graph.clone()).allocate(&problem),
+            Err(AllocationError::SecurityUnschedulable {
+                task: Some(SecurityTaskId(1))
+            })
+        );
+        // With a second core B moves away from A and both keep their periods.
+        let problem = AllocationProblem::new(rt_core::TaskSet::empty(), problem.security_tasks, 2);
+        let allocation = PrecedenceHydraAllocator::new(graph)
+            .allocate(&problem)
+            .unwrap();
+        assert_ne!(
+            allocation.core_of(SecurityTaskId(0)),
+            allocation.core_of(SecurityTaskId(1))
+        );
+        assert_eq!(
+            allocation.period_of(SecurityTaskId(0)),
+            Time::from_millis(1000)
+        );
+        assert_eq!(
+            allocation.period_of(SecurityTaskId(1)),
+            Time::from_millis(1000)
+        );
     }
 
     #[test]

@@ -72,14 +72,14 @@ const PINNED: [[u64; BLOCKS]; SCHEMES.len()] = [
     ],
     // precedence-dag
     [
-        0x9b797e7df22a82d2,
-        0x3137e9a34aa21c52,
-        0x61b21bbda7aee74f,
-        0xa81cc89c9e70f87d,
-        0x3cb3596787da3433,
-        0x86ec4f71c3860a4e,
-        0x1aa9ba33ee0cd167,
-        0x7106fd40cbb0cac7,
+        0xc0ffd953d6a76922,
+        0x1216257de264d2f4,
+        0xd63d9c122ef89340,
+        0x839c28dbec177016,
+        0xa4d6cee299728938,
+        0x37637445af101736,
+        0x4a51608094ac9cfd,
+        0x5ce6bb040719d46b,
     ],
     // precedence-empty
     [

@@ -258,6 +258,14 @@ pub enum AllocationError {
         /// The enumeration limit.
         limit: u128,
     },
+    /// The precedence scheme's graph does not cover the problem's security
+    /// tasks one to one.
+    PrecedenceGraphMismatch {
+        /// Number of tasks the precedence graph covers.
+        graph_tasks: usize,
+        /// Number of security tasks in the problem.
+        security_tasks: usize,
+    },
 }
 
 impl fmt::Display for AllocationError {
@@ -283,6 +291,14 @@ impl fmt::Display for AllocationError {
             AllocationError::ProblemTooLarge { assignments, limit } => write!(
                 f,
                 "exhaustive search over {assignments} assignments exceeds the limit of {limit}"
+            ),
+            AllocationError::PrecedenceGraphMismatch {
+                graph_tasks,
+                security_tasks,
+            } => write!(
+                f,
+                "the precedence graph covers {graph_tasks} security task(s) but the problem \
+                 has {security_tasks}"
             ),
         }
     }
@@ -408,5 +424,13 @@ mod tests {
         for e in errors {
             assert!(!e.to_string().is_empty());
         }
+        let mismatch = AllocationError::PrecedenceGraphMismatch {
+            graph_tasks: 3,
+            security_tasks: 6,
+        };
+        assert_eq!(
+            mismatch.to_string(),
+            "the precedence graph covers 3 security task(s) but the problem has 6"
+        );
     }
 }

@@ -305,10 +305,15 @@ impl Allocator for PrecedenceHydraAllocator {
         problem: &AllocationProblem,
         rt_partition: &Partition,
     ) -> Result<Allocation, AllocationError> {
+        // `add_dependency` refuses cycles, so the only error left is a
+        // graph of the wrong size.
         let order = self
             .graph
             .allocation_order(&problem.security_tasks)
-            .map_err(|_| AllocationError::SecurityUnschedulable { task: None })?;
+            .map_err(|_| AllocationError::PrecedenceGraphMismatch {
+                graph_tasks: self.graph.len(),
+                security_tasks: problem.security_tasks.len(),
+            })?;
         place(
             problem,
             rt_partition,
@@ -427,6 +432,22 @@ mod tests {
             g.allocation_order(&tasks),
             Err(PrecedenceError::UnknownTask(_))
         ));
+    }
+
+    #[test]
+    fn a_graph_of_the_wrong_size_is_named_not_unschedulable() {
+        let problem = AllocationProblem::new(crate::casestudy::uav_rt_tasks(), table1_tasks(), 2);
+        let allocator = PrecedenceHydraAllocator::new(PrecedenceGraph::new(3));
+        let expected = Err(AllocationError::PrecedenceGraphMismatch {
+            graph_tasks: 3,
+            security_tasks: 6,
+        });
+        assert_eq!(allocator.allocate(&problem), expected);
+        let rt_partition = crate::allocator::partition_rt(&problem, 2).unwrap();
+        assert_eq!(
+            allocator.allocate_with_rt_partition(&problem, &rt_partition),
+            expected
+        );
     }
 
     #[test]

@@ -77,25 +77,15 @@ pub struct CorePlan {
     pub weighted_tightness: f64,
 }
 
+/// Greedy periods for every task: each at its smallest feasible period in
+/// priority order. `None` if some task is infeasible.
 fn greedy_periods(tasks: &[&SecurityTask], rt_bound: &InterferenceBound) -> Option<Vec<f64>> {
-    let mut periods = Vec::with_capacity(tasks.len());
-    for (i, task) in tasks.iter().enumerate() {
-        let mut bound = *rt_bound;
-        for (j, hp) in tasks.iter().enumerate().take(i) {
-            bound.add_task(hp.wcet(), Time::from_ticks(periods[j] as u64));
-        }
-        let lower = task.desired_period().as_ticks() as f64;
-        let upper = task.max_period().as_ticks() as f64;
-        let a = task.wcet().as_ticks() as f64 + bound.constant;
-        let b = bound.slope;
-        let p = minimize_linear_fractional(lower, upper, a, b)?;
-        periods.push(p.ceil());
-    }
-    Some(periods)
+    let mut periods = vec![0.0; tasks.len()];
+    regreedify_suffix(tasks, rt_bound, &mut periods, 0).then_some(periods)
 }
 
 /// Greedy periods for the lower-priority suffix `tasks[from..]`, given the
-/// already-fixed periods of `tasks[..from]`. Returns `None` if any suffix
+/// already-fixed periods of `tasks[..from]`. Returns `false` if any suffix
 /// task becomes infeasible.
 fn regreedify_suffix(
     tasks: &[&SecurityTask],

@@ -14,9 +14,16 @@
 //!
 //! Alongside HYDRA the crate provides the two comparison points used in the
 //! paper's evaluation: the **SingleCore** scheme (a core dedicated to
-//! security) and the exhaustive **Optimal** scheme, plus the security task
-//! model, the interference analysis of Eq. (5), the period-adaptation problem
-//! of Eq. (7), and the Table I / UAV case-study workloads.
+//! security) and the exhaustive **Optimal** scheme; the two Section V
+//! extensions, **NP-HYDRA** for non-preemptive security tasks
+//! ([`nonpreemptive`]) and a **precedence**-aware HYDRA ([`precedence`]);
+//! plus the security task model, the interference analysis of Eq. (5), the
+//! period-adaptation problem of Eq. (7), and the Table I / UAV case-study
+//! workloads.
+//!
+//! HYDRA, NP-HYDRA, Precedence and SingleCore run one placement loop,
+//! Algorithm 1, and differ only in its placement order, candidate cores,
+//! period floor and admission rule; [`allocator`] lists what each sets.
 //!
 //! # Quick start
 //!

@@ -33,7 +33,7 @@ use rt_partition::{CoreId, Partition};
 use crate::allocation::{Allocation, AllocationError, AllocationProblem};
 use crate::allocator::{place, Allocator, Candidate};
 use crate::interference::{security_interference, InterferenceBound};
-use crate::security::{SecurityTask, SecurityTaskSet};
+use crate::security::SecurityTask;
 
 /// HYDRA with support for non-preemptive security tasks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -96,11 +96,11 @@ impl NpHydraAllocator {
     /// non-preemptive one only a core whose real-time tasks and placed
     /// security tasks tolerate the blocking it adds.
     fn admits(
-        tasks: &SecurityTaskSet,
-        rt_tasks: &TaskSet,
+        problem: &AllocationProblem,
         partition: &Partition,
         candidate: &Candidate<'_>,
     ) -> bool {
+        let (rt_tasks, tasks) = (&problem.rt_tasks, &problem.security_tasks);
         let task = &tasks[candidate.task];
         if !task.is_non_preemptive() {
             return true;
@@ -151,14 +151,13 @@ impl Allocator for NpHydraAllocator {
         problem: &AllocationProblem,
         rt_partition: &Partition,
     ) -> Result<Allocation, AllocationError> {
-        let tasks = &problem.security_tasks;
         place(
             problem,
             rt_partition,
-            tasks.priority_order(),
+            problem.security_tasks.priority_order(),
             0..rt_partition.cores(),
             |_, _| Time::ZERO,
-            |candidate| Self::admits(tasks, &problem.rt_tasks, rt_partition, candidate),
+            |candidate| Self::admits(problem, rt_partition, candidate),
         )
     }
 }
@@ -167,7 +166,7 @@ impl Allocator for NpHydraAllocator {
 mod tests {
     use super::*;
     use crate::allocator::HydraAllocator;
-    use crate::security::SecurityTaskId;
+    use crate::security::{SecurityTaskId, SecurityTaskSet};
 
     fn rt(c_ms: u64, t_ms: u64) -> RtTask {
         RtTask::implicit_deadline(Time::from_millis(c_ms), Time::from_millis(t_ms)).unwrap()

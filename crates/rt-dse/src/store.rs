@@ -699,6 +699,83 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A best-fit problem shaped like a generated one: unnamed
+    /// implicit-deadline real-time tasks and weighted security tasks.
+    fn synthetic_problem() -> AllocationProblem {
+        let rt = |c: u64, t: u64| {
+            RtTask::implicit_deadline(Time::from_ticks(c), Time::from_ticks(t)).unwrap()
+        };
+        let sec = |c: u64, t: u64, weight: f64| {
+            SecurityTask::new(
+                Time::from_ticks(c),
+                Time::from_ticks(t),
+                Time::from_ticks(10 * t),
+            )
+            .unwrap()
+            .with_weight(weight)
+            .unwrap()
+        };
+        AllocationProblem::new(
+            TaskSet::new(vec![
+                rt(12_345, 87_000),
+                rt(301_007, 640_000),
+                rt(9_876, 15_000),
+            ]),
+            SecurityTaskSet::new(vec![
+                sec(40_321, 1_250_000, 1.0),
+                sec(7_777, 2_999_000, 0.3).with_execution_mode(ExecutionMode::NonPreemptive),
+            ]),
+            2,
+        )
+    }
+
+    /// The problem payload of [`synthetic_problem`], as stores on disk hold it.
+    const SYNTHETIC_PAYLOAD: &str = concat!(
+        "cores 2\n",
+        "config bestfit rta declaration\n",
+        "rt 3\n",
+        "r 12345 87000 87000 -\n",
+        "r 301007 640000 640000 -\n",
+        "r 9876 15000 15000 -\n",
+        "sec 2\n",
+        "s 40321 1250000 12500000 3ff0000000000000 p -\n",
+        "s 7777 2999000 29990000 3fd3333333333333 n -\n",
+    );
+
+    /// The problem payload of the UAV case study on two cores.
+    const UAV_PAYLOAD: &str = concat!(
+        "cores 2\n",
+        "config worstfit rta declaration\n",
+        "rt 6\n",
+        "r 2000 20000 20000 6d697373696c655f636f6e74726f6c\n",
+        "r 10000 50000 50000 666173745f6e617669676174696f6e\n",
+        "r 15000 100000 100000 636f6e74726f6c6c6572\n",
+        "r 12000 200000 200000 736c6f775f6e617669676174696f6e\n",
+        "r 12000 200000 200000 67756964616e6365\n",
+        "r 25000 1000000 1000000 7265636f6e6e61697373616e6365\n",
+        "sec 6\n",
+        "s 200000 2000000 20000000 3ff0000000000000 p 74726970776972655f73656c665f636865636b\n",
+        "s 900000 5000000 50000000 3ff0000000000000 p 74726970776972655f65786563757461626c6573\n",
+        "s 650000 4000000 40000000 3ff0000000000000 p 74726970776972655f6c6962726172696573\n",
+        "s 400000 3000000 30000000 3ff0000000000000 p 74726970776972655f6465765f6b65726e656c\n",
+        "s 300000 2500000 25000000 3ff0000000000000 p 74726970776972655f636f6e666967\n",
+        "s 120000 1000000 10000000 3ff0000000000000 p 62726f5f6e6574776f726b5f6d6f6e69746f72\n",
+    );
+
+    #[test]
+    fn problem_payloads_keep_their_committed_bytes() {
+        // Stores written earlier must keep reading warm: the encoder writes
+        // exactly these bytes, and they decode back to the same problem.
+        let uav =
+            uav_problem().with_partition_config(crate::spec::Workload::uav_partition_config());
+        for (problem, payload) in [(synthetic_problem(), SYNTHETIC_PAYLOAD), (uav, UAV_PAYLOAD)] {
+            assert_eq!(encode_problem(&problem), payload);
+            let decoded = decode_problem(payload).expect("a committed payload decodes");
+            assert_eq!(decoded.partition_config, problem.partition_config);
+            assert_eq!(encode_problem(&decoded), payload);
+        }
+    }
+
     #[test]
     fn feasibility_and_allocation_round_trip() {
         let dir = tmp_dir("families");

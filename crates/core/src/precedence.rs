@@ -55,6 +55,14 @@ pub enum PrecedenceError {
     Cyclic,
     /// A self-edge was added.
     SelfDependency(SecurityTaskId),
+    /// The graph covers a different number of tasks than the security task
+    /// set it is applied to.
+    SizeMismatch {
+        /// Number of tasks the graph covers.
+        graph_tasks: usize,
+        /// Number of tasks in the security task set.
+        security_tasks: usize,
+    },
 }
 
 impl std::fmt::Display for PrecedenceError {
@@ -67,6 +75,14 @@ impl std::fmt::Display for PrecedenceError {
             PrecedenceError::SelfDependency(id) => {
                 write!(f, "security task {id} cannot depend on itself")
             }
+            PrecedenceError::SizeMismatch {
+                graph_tasks,
+                security_tasks,
+            } => write!(
+                f,
+                "the precedence graph covers {graph_tasks} security task(s) but the task set \
+                 has {security_tasks}"
+            ),
         }
     }
 }
@@ -182,16 +198,17 @@ impl PrecedenceGraph {
     /// # Errors
     ///
     /// Returns [`PrecedenceError::Cyclic`] for cyclic graphs, or
-    /// [`PrecedenceError::UnknownTask`] if the graph and task set disagree in
+    /// [`PrecedenceError::SizeMismatch`] if the graph and task set disagree in
     /// size.
     pub fn allocation_order(
         &self,
         tasks: &SecurityTaskSet,
     ) -> Result<Vec<SecurityTaskId>, PrecedenceError> {
         if tasks.len() != self.edges.len() {
-            return Err(PrecedenceError::UnknownTask(SecurityTaskId(
-                self.edges.len().min(tasks.len()),
-            )));
+            return Err(PrecedenceError::SizeMismatch {
+                graph_tasks: self.edges.len(),
+                security_tasks: tasks.len(),
+            });
         }
         // Kahn's algorithm with a priority-ordered frontier.
         let n = self.edges.len();
@@ -305,15 +322,19 @@ impl Allocator for PrecedenceHydraAllocator {
         problem: &AllocationProblem,
         rt_partition: &Partition,
     ) -> Result<Allocation, AllocationError> {
-        // `add_dependency` refuses cycles, so the only error left is a
-        // graph of the wrong size.
-        let order = self
-            .graph
-            .allocation_order(&problem.security_tasks)
-            .map_err(|_| AllocationError::PrecedenceGraphMismatch {
-                graph_tasks: self.graph.len(),
-                security_tasks: problem.security_tasks.len(),
-            })?;
+        let order = match self.graph.allocation_order(&problem.security_tasks) {
+            Ok(order) => order,
+            Err(PrecedenceError::SizeMismatch {
+                graph_tasks,
+                security_tasks,
+            }) => {
+                return Err(AllocationError::PrecedenceGraphMismatch {
+                    graph_tasks,
+                    security_tasks,
+                })
+            }
+            Err(e) => unreachable!("`add_dependency` refuses every other graph error: {e}"),
+        };
         place(
             problem,
             rt_partition,
@@ -428,10 +449,18 @@ mod tests {
     fn mismatched_graph_size_is_an_error() {
         let tasks: SecurityTaskSet = vec![sec(10, 1000, 10_000)].into_iter().collect();
         let g = PrecedenceGraph::new(3);
-        assert!(matches!(
-            g.allocation_order(&tasks),
-            Err(PrecedenceError::UnknownTask(_))
-        ));
+        let err = g.allocation_order(&tasks).unwrap_err();
+        assert_eq!(
+            err,
+            PrecedenceError::SizeMismatch {
+                graph_tasks: 3,
+                security_tasks: 1,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "the precedence graph covers 3 security task(s) but the task set has 1"
+        );
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! are concatenated.
 
 use std::fs;
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -63,13 +64,32 @@ fn frontier_sweep(out: &Path, extra: &[&str]) {
     dse(&args);
 }
 
-/// A fresh per-test output directory under the system temp dir.
-fn temp_out(test: &str) -> PathBuf {
+/// A per-test output directory that is removed when the test ends, pass or
+/// fail.
+struct TempOut(PathBuf);
+
+impl Deref for TempOut {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempOut {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A fresh per-test output directory under the system temp dir; a stale one
+/// left by an interrupted earlier run is cleared first.
+fn temp_out(test: &str) -> TempOut {
     let dir = std::env::temp_dir().join(format!("dse-frontier-cli-{}-{test}", std::process::id()));
     if dir.exists() {
         fs::remove_dir_all(&dir).expect("clear stale temp dir");
     }
-    dir
+    TempOut(dir)
 }
 
 fn read(dir: &Path, file: &str) -> Vec<u8> {

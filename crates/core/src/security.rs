@@ -17,7 +17,6 @@ use rt_core::Time;
 
 /// Index of a security task inside a [`SecurityTaskSet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SecurityTaskId(pub usize);
 
 impl fmt::Display for SecurityTaskId {
@@ -82,7 +81,6 @@ impl std::error::Error for SecurityTaskError {}
 /// filesystem snapshot) may have to run non-preemptively; the blocking-aware
 /// allocator in [`crate::nonpreemptive`] consumes this flag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ExecutionMode {
     /// The task can be preempted at any instant (the paper's base model).
     #[default]
@@ -113,14 +111,12 @@ pub enum ExecutionMode {
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SecurityTask {
     wcet: Time,
     desired_period: Time,
     max_period: Time,
     weight: f64,
     name: Option<String>,
-    #[cfg_attr(feature = "serde", serde(default))]
     execution_mode: ExecutionMode,
 }
 
@@ -295,11 +291,9 @@ impl fmt::Display for SecurityTask {
 /// per-task queries such as [`SecurityTaskSet::higher_priority_than`] stay
 /// O(n) instead of re-sorting the whole set on every call.
 #[derive(Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SecurityTaskSet {
     tasks: Vec<SecurityTask>,
-    /// Lazily computed priority order; never serialized or compared.
-    #[cfg_attr(feature = "serde", serde(skip))]
+    /// Lazily computed priority order; never compared.
     priority_cache: std::sync::OnceLock<Vec<SecurityTaskId>>,
 }
 

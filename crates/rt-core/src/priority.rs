@@ -15,7 +15,6 @@ use crate::task::{TaskId, TaskSet};
 /// Use [`Priority::is_higher_than`] instead of `<`/`>` at call sites where the
 /// direction matters for readability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Priority(pub u32);
 
 impl Priority {
@@ -43,7 +42,6 @@ impl std::fmt::Display for Priority {
 
 /// Fixed-priority assignment policies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PriorityPolicy {
     /// Rate monotonic: shorter period ⇒ higher priority (Liu & Layland).
     /// This is the policy assumed by the HYDRA paper for real-time tasks.
@@ -59,7 +57,6 @@ pub enum PriorityPolicy {
 /// A priority assignment for a task set: a mapping from [`TaskId`] to
 /// [`Priority`] in which all priorities are distinct.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PriorityAssignment {
     /// `priorities[i]` is the priority of `TaskId(i)`.
     priorities: Vec<Priority>,

@@ -18,7 +18,6 @@ use crate::time::Time;
 /// Task ids are stable: they are the position of the task in the owning set
 /// and never change once the set is built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TaskId(pub usize);
 
 impl fmt::Display for TaskId {
@@ -46,7 +45,6 @@ impl fmt::Display for TaskId {
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RtTask {
     wcet: Time,
     period: Time,
@@ -158,7 +156,6 @@ impl fmt::Display for RtTask {
 /// priority-assignment policies in [`crate::priority`] produce permutations
 /// of these indices.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TaskSet {
     tasks: Vec<RtTask>,
 }

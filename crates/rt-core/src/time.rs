@@ -37,7 +37,6 @@ pub const TICKS_PER_SEC: u64 = 1_000_000;
 /// assert_eq!((period - wcet).as_micros(), 17_500);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Time(u64);
 
 impl Time {

@@ -13,7 +13,6 @@ use rt_core::{RtTask, TaskSet};
 /// The admission test applied to a candidate core content (existing tasks on
 /// the core plus the task being placed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AdmissionTest {
     /// Exact response-time analysis under rate-monotonic priorities
     /// (necessary and sufficient for the implicit-deadline synchronous case).

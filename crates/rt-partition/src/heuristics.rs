@@ -16,7 +16,6 @@ use crate::partition::{CoreId, Partition};
 
 /// Which core a heuristic prefers among those that can admit the task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Heuristic {
     /// The lowest-indexed core that admits the task.
     FirstFit,
@@ -35,7 +34,6 @@ pub enum Heuristic {
 
 /// In which order tasks are offered to the bins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TaskOrdering {
     /// Keep the declaration order of the task set.
     #[default]
@@ -53,7 +51,6 @@ pub enum TaskOrdering {
 /// Implements `Hash` so memoization layers can key partition results by
 /// `(task set, cores, config)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PartitionConfig {
     /// Core-selection heuristic.
     pub heuristic: Heuristic,

@@ -7,7 +7,6 @@ use rt_core::{RtTask, TaskId, TaskSet};
 /// Identifier of a processor core (`π_m` in the paper), an index in
 /// `0..M`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CoreId(pub usize);
 
 impl fmt::Display for CoreId {
@@ -23,7 +22,6 @@ impl fmt::Display for CoreId {
 /// heuristic is running; a complete partition assigns every task of the
 /// associated task set to exactly one core.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Partition {
     cores: usize,
     /// `assignment[i]` is the core of `TaskId(i)`, if assigned.

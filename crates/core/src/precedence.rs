@@ -323,7 +323,6 @@ impl Allocator for PrecedenceHydraAllocator {
         rt_partition: &Partition,
     ) -> Result<Allocation, AllocationError> {
         let order = match self.graph.allocation_order(&problem.security_tasks) {
-            Ok(order) => order,
             Err(PrecedenceError::SizeMismatch {
                 graph_tasks,
                 security_tasks,
@@ -333,7 +332,7 @@ impl Allocator for PrecedenceHydraAllocator {
                     security_tasks,
                 })
             }
-            Err(e) => unreachable!("`add_dependency` refuses every other graph error: {e}"),
+            order => order.expect("`add_dependency` refuses cycles, so only the size can mismatch"),
         };
         place(
             problem,

@@ -21,7 +21,6 @@
 
 use rt_core::Time;
 use rt_dse::prelude::*;
-use rt_partition::PartitionConfig;
 use rt_sim::cdf::EmpiricalCdf;
 
 use crate::report::{fmt3, fmt_pct, ResultTable};
@@ -125,16 +124,6 @@ pub struct Fig1Result {
     /// Mean-detection improvement of HYDRA over SingleCore per core count,
     /// in percent (positive means HYDRA detects faster).
     pub improvement_percent: Vec<(usize, f64)>,
-}
-
-/// The partitioning policy used for the real-time tasks in this experiment,
-/// re-exported from the engine's single source of truth
-/// ([`Workload::uav_partition_config`]): worst-fit (load balancing), so the
-/// real-time tasks are spread across all cores as the paper assumes for the
-/// HYDRA configuration.
-#[must_use]
-pub fn case_study_partition_config() -> PartitionConfig {
-    Workload::uav_partition_config()
 }
 
 fn scheme_name(kind: AllocatorKind) -> &'static str {

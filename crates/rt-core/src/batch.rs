@@ -63,16 +63,12 @@ pub enum BatchMode {
 }
 
 /// Counters describing how the batch kernels were fed: a histogram of lane
-/// occupancy per dispatched batch, plus how often a batch-mode caller took
-/// the scalar path because the kernels do not cover its configuration
-/// (partitioning under a non-RTA admission test).
+/// occupancy per dispatched batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchStats {
     /// `lanes_filled[k]` counts batches dispatched with exactly `k` lanes
     /// occupied (index 0 is unused; kept so indices read naturally).
     pub lanes_filled: [u64; LANES + 1],
-    /// Evaluations that bypassed the kernels entirely.
-    pub scalar_fallbacks: u64,
 }
 
 impl BatchStats {
@@ -81,23 +77,17 @@ impl BatchStats {
         self.lanes_filled[lanes.min(LANES)] += 1;
     }
 
-    /// Records one scalar-path evaluation.
-    pub fn record_fallback(&mut self) {
-        self.scalar_fallbacks += 1;
-    }
-
     /// Folds `other` into `self`.
     pub fn merge(&mut self, other: &BatchStats) {
         for (acc, v) in self.lanes_filled.iter_mut().zip(other.lanes_filled) {
             *acc += v;
         }
-        self.scalar_fallbacks += other.scalar_fallbacks;
     }
 
     /// Whether nothing was recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.scalar_fallbacks == 0 && self.lanes_filled.iter().all(|&c| c == 0)
+        self.lanes_filled.iter().all(|&c| c == 0)
     }
 }
 
@@ -383,13 +373,11 @@ mod tests {
         assert!(a.is_empty());
         a.record_batch(3);
         a.record_batch(LANES);
-        a.record_fallback();
         let mut b = BatchStats::default();
         b.record_batch(3);
         b.merge(&a);
         assert_eq!(b.lanes_filled[3], 2);
         assert_eq!(b.lanes_filled[LANES], 1);
-        assert_eq!(b.scalar_fallbacks, 1);
         assert!(!b.is_empty());
     }
 

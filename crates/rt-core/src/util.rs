@@ -2,8 +2,8 @@
 //!
 //! These free functions complement the methods on [`RtTask`] /
 //! [`TaskSet`](crate::TaskSet) with the aggregate quantities used throughout
-//! the experiments: per-core utilisation of a partition slice, the Liu &
-//! Layland rate-monotonic bound, and the hyperbolic bound of Bini & Buttazzo.
+//! the experiments: per-core utilisation of a partition slice and the Liu &
+//! Layland rate-monotonic bound.
 
 use crate::task::RtTask;
 
@@ -48,28 +48,9 @@ pub fn liu_layland_bound(n: usize) -> f64 {
     }
 }
 
-/// The hyperbolic bound of Bini & Buttazzo: a set of implicit-deadline tasks
-/// is RM-schedulable on one core if `Π (U_i + 1) ≤ 2`.
-///
-/// Sharper than the Liu & Layland bound, still only sufficient.
-#[must_use]
-pub fn hyperbolic_bound_holds<'a, I>(tasks: I) -> bool
-where
-    I: IntoIterator<Item = &'a RtTask>,
-{
-    let product: f64 = tasks.into_iter().map(|t| t.utilization() + 1.0).product();
-    product <= 2.0 + 1e-12
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::RtTask;
-    use crate::time::Time;
-
-    fn task(c_ms: u64, t_ms: u64) -> RtTask {
-        RtTask::implicit_deadline(Time::from_millis(c_ms), Time::from_millis(t_ms)).unwrap()
-    }
 
     #[test]
     fn liu_layland_known_values() {
@@ -80,26 +61,6 @@ mod tests {
         // Monotone decreasing towards ln 2.
         assert!(liu_layland_bound(100) > 2f64.ln());
         assert!(liu_layland_bound(100) < liu_layland_bound(10));
-    }
-
-    #[test]
-    fn hyperbolic_bound_cases() {
-        // Two tasks at U = 0.41 each: (1.41)^2 = 1.9881 ≤ 2 → holds.
-        let ok = [task(41, 100), task(41, 100)];
-        assert!(hyperbolic_bound_holds(ok.iter()));
-        // Two tasks at U = 0.45 each: (1.45)^2 = 2.1025 > 2 → fails.
-        let not_ok = [task(45, 100), task(45, 100)];
-        assert!(!hyperbolic_bound_holds(not_ok.iter()));
-    }
-
-    #[test]
-    fn hyperbolic_no_sharper_than_ll_is_violated_here() {
-        // A set accepted by the hyperbolic bound but rejected by Liu & Layland:
-        // U = 0.7 + 0.15 = 0.85 > 0.828, product 1.7 · 1.15 = 1.955 ≤ 2.
-        let set = [task(7, 10), task(6, 40)];
-        let u = total_utilization(set.iter());
-        assert!(u > liu_layland_bound(2));
-        assert!(hyperbolic_bound_holds(set.iter()));
     }
 
     #[test]

@@ -21,7 +21,6 @@
 //! | `sim.{releases,completions,truncated,preemptions,idle_jumps}` | simulator scheduling events; on a core that takes the simulator's supply path they count security-level events only |
 //! | `sim.supply_fallbacks` | simulated cores whose real-time tasks went unobserved but which took the event path because a supply-path precondition failed |
 //! | `optimal.{visited,pruned,total}` | branch-and-bound search statistics |
-//! | `batch.scalar_fallbacks` | partitions run on the scalar path because their admission test has no kernel (non-RTA tests) |
 //! | `checkpoint.writes` | checkpoint files durably written (CLI only) |
 //!
 //! Gauges: `drain.reorder_depth` — outcomes parked in the reorder buffer.
@@ -222,17 +221,13 @@ impl WorkerObs {
         self.shard.counter("optimal.total").add(clamp(total));
     }
 
-    /// Folds a [`rt_core::batch::BatchStats`] delta into the `batch.*`
-    /// metrics: `batch.scalar_fallbacks` counts partitions whose admission
-    /// test has no kernel, and the `batch.lanes_filled` histogram records
-    /// the occupied-lane count of every batch dispatch.
+    /// Folds a [`rt_core::batch::BatchStats`] delta into the
+    /// `batch.lanes_filled` histogram, which records the occupied-lane count
+    /// of every batch dispatch.
     pub fn add_batch_stats(&self, stats: &rt_core::batch::BatchStats) {
         if !self.shard.is_enabled() || stats.is_empty() {
             return;
         }
-        self.shard
-            .counter("batch.scalar_fallbacks")
-            .add(stats.scalar_fallbacks);
         let lanes_filled = self.shard.histogram("batch.lanes_filled");
         for (lanes, &dispatches) in stats.lanes_filled.iter().enumerate() {
             for _ in 0..dispatches {
@@ -304,14 +299,12 @@ mod tests {
         worker.record_scenario(Some(Duration::from_micros(5)));
         worker.add_search_stats(10, 5, 15);
         let mut batch = rt_core::batch::BatchStats::default();
-        batch.record_fallback();
         batch.record_batch(4);
         batch.record_batch(8);
         worker.add_batch_stats(&batch);
         let snap = obs.registry().snapshot();
         assert_eq!(snap.counter("sweep.scenarios_done"), 1);
         assert_eq!(snap.counter("optimal.total"), 15);
-        assert_eq!(snap.counter("batch.scalar_fallbacks"), 1);
         assert_eq!(snap.histograms["batch.lanes_filled"].count, 2);
         assert_eq!(snap.histograms["sweep.scenario_ns"].count, 1);
         assert!(obs.phase_rows().is_empty());

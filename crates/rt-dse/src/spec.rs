@@ -241,17 +241,12 @@ pub enum Workload {
 
 impl Workload {
     /// The real-time partitioning policy of the UAV case study: worst-fit
-    /// (load balancing) with exact response-time admission, so the real-time
-    /// tasks are spread across all cores as the paper assumes for HYDRA.
-    /// This is the single source of truth — the engine applies it to every
-    /// [`Workload::CaseStudyUav`] problem, and the `hydra-bench` Figure 1
-    /// driver re-exports it.
+    /// (load balancing), so the real-time tasks are spread across all cores
+    /// as the paper assumes for HYDRA. This is the single source of truth —
+    /// the engine applies it to every [`Workload::CaseStudyUav`] problem.
     #[must_use]
     pub fn uav_partition_config() -> rt_partition::PartitionConfig {
-        rt_partition::PartitionConfig::new(
-            rt_partition::Heuristic::WorstFit,
-            rt_partition::AdmissionTest::ResponseTime,
-        )
+        rt_partition::PartitionConfig::new(rt_partition::Heuristic::WorstFit)
     }
 }
 

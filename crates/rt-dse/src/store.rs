@@ -48,7 +48,7 @@ use hydra_core::{
     SecurityTaskId, SecurityTaskSet,
 };
 use rt_core::{RtTask, TaskId, TaskSet, Time};
-use rt_partition::{AdmissionTest, CoreId, Heuristic, Partition, PartitionConfig, TaskOrdering};
+use rt_partition::{CoreId, Heuristic, Partition, PartitionConfig};
 
 use crate::memo::{AllocationKey, ProblemKey};
 
@@ -321,39 +321,24 @@ fn allocation_key_line(key: &AllocationKey) -> String {
 
 fn heuristic_label(h: Heuristic) -> &'static str {
     match h {
-        Heuristic::FirstFit => "firstfit",
         Heuristic::BestFit => "bestfit",
         Heuristic::WorstFit => "worstfit",
-        Heuristic::NextFit => "nextfit",
     }
 }
 
 fn heuristic_parse(s: &str) -> Option<Heuristic> {
     Some(match s {
-        "firstfit" => Heuristic::FirstFit,
         "bestfit" => Heuristic::BestFit,
         "worstfit" => Heuristic::WorstFit,
-        "nextfit" => Heuristic::NextFit,
         _ => return None,
     })
 }
 
-fn admission_label(a: AdmissionTest) -> &'static str {
-    match a {
-        AdmissionTest::ResponseTime => "rta",
-        AdmissionTest::LiuLayland => "liulayland",
-        AdmissionTest::Hyperbolic => "hyperbolic",
-        AdmissionTest::UtilizationOnly => "utilization",
-    }
-}
-
-fn ordering_label(o: TaskOrdering) -> &'static str {
-    match o {
-        TaskOrdering::Declaration => "declaration",
-        TaskOrdering::DecreasingUtilization => "decreasing-util",
-        TaskOrdering::IncreasingPeriod => "increasing-period",
-    }
-}
+/// What follows the heuristic on a problem's `config` line. Every partition
+/// admits by exact response-time analysis and packs in declaration order;
+/// the line keeps naming both, so entries stay byte-identical to those
+/// earlier revisions wrote, and an entry naming anything else is a miss.
+const CONFIG_SUFFIX: &str = " rta declaration";
 
 // ---- problem codec -------------------------------------------------------
 
@@ -394,14 +379,11 @@ fn name_unhex(field: &str) -> Option<Option<String>> {
 
 fn encode_problem(problem: &AllocationProblem) -> String {
     let mut out = String::new();
-    let cfg = problem.partition_config;
     let _ = writeln!(out, "cores {}", problem.cores);
     let _ = writeln!(
         out,
-        "config {} {} {}",
-        heuristic_label(cfg.heuristic),
-        admission_label(cfg.admission),
-        ordering_label(cfg.ordering)
+        "config {}{CONFIG_SUFFIX}",
+        heuristic_label(problem.partition_config.heuristic)
     );
     let _ = writeln!(out, "rt {}", problem.rt_tasks.len());
     for task in problem.rt_tasks.tasks() {
@@ -440,21 +422,8 @@ fn decode_problem(payload: &str) -> Option<AllocationProblem> {
     if cores == 0 {
         return None;
     }
-    let mut config = lines.next()?.strip_prefix("config ")?.split(' ');
-    let heuristic = heuristic_parse(config.next()?)?;
-    let admission = match config.next()? {
-        "rta" => AdmissionTest::ResponseTime,
-        "liulayland" => AdmissionTest::LiuLayland,
-        "hyperbolic" => AdmissionTest::Hyperbolic,
-        "utilization" => AdmissionTest::UtilizationOnly,
-        _ => return None,
-    };
-    let ordering = match config.next()? {
-        "declaration" => TaskOrdering::Declaration,
-        "decreasing-util" => TaskOrdering::DecreasingUtilization,
-        "increasing-period" => TaskOrdering::IncreasingPeriod,
-        _ => return None,
-    };
+    let config = lines.next()?.strip_prefix("config ")?;
+    let heuristic = heuristic_parse(config.strip_suffix(CONFIG_SUFFIX)?)?;
     let n_rt: usize = lines.next()?.strip_prefix("rt ")?.parse().ok()?;
     let mut rt_tasks = Vec::with_capacity(n_rt);
     for _ in 0..n_rt {
@@ -502,7 +471,7 @@ fn decode_problem(payload: &str) -> Option<AllocationProblem> {
             SecurityTaskSet::new(sec_tasks),
             cores,
         )
-        .with_partition_config(PartitionConfig::new(heuristic, admission).with_ordering(ordering)),
+        .with_partition_config(PartitionConfig::new(heuristic)),
     )
 }
 
@@ -773,6 +742,18 @@ mod tests {
             let decoded = decode_problem(payload).expect("a committed payload decodes");
             assert_eq!(decoded.partition_config, problem.partition_config);
             assert_eq!(encode_problem(&decoded), payload);
+        }
+        // A config line naming any other heuristic, admission test or
+        // order decodes as a miss.
+        for config in [
+            "config firstfit rta declaration",
+            "config nextfit rta declaration",
+            "config bestfit liulayland declaration",
+            "config worstfit rta decreasing-util",
+            "config bestfit rta declaration extra",
+        ] {
+            let payload = SYNTHETIC_PAYLOAD.replacen("config bestfit rta declaration", config, 1);
+            assert!(decode_problem(&payload).is_none(), "{config}");
         }
     }
 

@@ -6,17 +6,15 @@
 //! that substrate:
 //!
 //! * [`Partition`] — an assignment of tasks to cores with per-core views,
-//! * [`heuristics`] — the classic bin-packing heuristics (first-fit,
-//!   best-fit, worst-fit, next-fit) with optional decreasing-utilisation
-//!   ordering,
-//! * [`admission`] — the admission tests used while packing (exact
-//!   response-time analysis, or the cheaper utilisation bounds).
+//! * [`heuristics`] — best-fit and worst-fit packing in declaration order,
+//!   where a core admits a task when exact rate-monotonic response-time
+//!   analysis passes.
 //!
 //! # Example
 //!
 //! ```
 //! use rt_core::{RtTask, TaskSet, Time};
-//! use rt_partition::{partition_tasks, AdmissionTest, Heuristic, PartitionConfig};
+//! use rt_partition::{partition_tasks, Heuristic, PartitionConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let tasks = TaskSet::new(vec![
@@ -24,11 +22,7 @@
 //!     RtTask::implicit_deadline(Time::from_millis(6), Time::from_millis(10))?,
 //!     RtTask::implicit_deadline(Time::from_millis(5), Time::from_millis(10))?,
 //! ]);
-//! let partition = partition_tasks(
-//!     &tasks,
-//!     2,
-//!     &PartitionConfig::new(Heuristic::BestFit, AdmissionTest::ResponseTime),
-//! )?;
+//! let partition = partition_tasks(&tasks, 2, &PartitionConfig::new(Heuristic::BestFit))?;
 //! assert_eq!(partition.cores(), 2);
 //! assert_eq!(partition.assigned_count(), 3);
 //! # Ok(())
@@ -39,13 +33,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod admission;
 pub mod heuristics;
 pub mod partition;
 
-pub use admission::AdmissionTest;
 pub use heuristics::{
     partition_tasks, partition_tasks_with_mode, Heuristic, PartitionConfig, PartitionError,
-    TaskOrdering,
 };
 pub use partition::{CoreId, Partition};

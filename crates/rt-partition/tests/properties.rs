@@ -4,10 +4,7 @@ use proptest::prelude::*;
 use rt_core::batch::{BatchMode, BatchStats};
 use rt_core::rta::is_schedulable_rm;
 use rt_core::{RtTask, TaskSet, Time};
-use rt_partition::{
-    partition_tasks, partition_tasks_with_mode, AdmissionTest, Heuristic, PartitionConfig,
-    TaskOrdering,
-};
+use rt_partition::{partition_tasks, partition_tasks_with_mode, Heuristic, PartitionConfig};
 
 fn arb_task() -> impl Strategy<Value = RtTask> {
     (500u64..=30_000, 40_000u64..=500_000).prop_map(|(c, t)| {
@@ -43,24 +40,8 @@ fn arb_tied_constrained_task() -> impl Strategy<Value = RtTask> {
         })
 }
 
-fn all_configs() -> Vec<PartitionConfig> {
-    let mut cfgs = Vec::new();
-    for h in [
-        Heuristic::FirstFit,
-        Heuristic::BestFit,
-        Heuristic::WorstFit,
-        Heuristic::NextFit,
-    ] {
-        for a in [AdmissionTest::ResponseTime, AdmissionTest::Hyperbolic] {
-            for o in [
-                TaskOrdering::Declaration,
-                TaskOrdering::DecreasingUtilization,
-            ] {
-                cfgs.push(PartitionConfig::new(h, a).with_ordering(o));
-            }
-        }
-    }
-    cfgs
+fn all_configs() -> [PartitionConfig; 2] {
+    [Heuristic::BestFit, Heuristic::WorstFit].map(PartitionConfig::new)
 }
 
 proptest! {
@@ -72,39 +53,14 @@ proptest! {
             if let Ok(p) = partition_tasks(&set, cores, &cfg) {
                 prop_assert!(p.is_complete());
                 prop_assert_eq!(p.task_count(), set.len());
-                // Every core content passes the exact RM test when the
-                // admission test was RTA; sufficient tests imply it too.
+                // Every core content passes the exact RM test, the
+                // admission test itself.
                 for core in p.core_ids() {
                     prop_assert!(is_schedulable_rm(&p.taskset_on(&set, core)));
                 }
                 // Each task appears on exactly one core.
                 let total: usize = p.core_ids().map(|c| p.tasks_on(c).len()).sum();
                 prop_assert_eq!(total, set.len());
-            }
-        }
-    }
-
-    #[test]
-    fn more_cores_never_hurt_first_fit(set in arb_taskset(), cores in 1usize..=3) {
-        let cfg = PartitionConfig::new(Heuristic::FirstFit, AdmissionTest::ResponseTime);
-        let small = partition_tasks(&set, cores, &cfg);
-        let large = partition_tasks(&set, cores + 1, &cfg);
-        // First-fit with more cores admits a superset of workloads: if the
-        // small platform succeeds the large one must too (the extra core is
-        // simply never needed).
-        if small.is_ok() {
-            prop_assert!(large.is_ok());
-        }
-    }
-
-    #[test]
-    fn rta_admission_accepts_at_least_as_much_as_utilization_bounds(set in arb_taskset(), cores in 1usize..=4) {
-        // The exact test admits every workload the sufficient bounds admit.
-        for h in [Heuristic::FirstFit, Heuristic::BestFit, Heuristic::WorstFit] {
-            let exact = PartitionConfig::new(h, AdmissionTest::ResponseTime);
-            let ll = PartitionConfig::new(h, AdmissionTest::LiuLayland);
-            if partition_tasks(&set, cores, &ll).is_ok() {
-                prop_assert!(partition_tasks(&set, cores, &exact).is_ok());
             }
         }
     }
@@ -132,7 +88,7 @@ proptest! {
         cores in 1usize..=9
     ) {
         // One core is a one-lane dispatch, nine a full dispatch plus a
-        // one-lane remainder; ties leave dirty rows behind and every
+        // one-lane remainder; a candidate loses every period tie, and every
         // re-verified row starts from its warm-start seed.
         let set = TaskSet::new(tasks);
         for cfg in all_configs() {
@@ -149,8 +105,9 @@ proptest! {
         wcets in prop::collection::vec(500u64..=30_000, 1..=12),
         cores in 2usize..=4
     ) {
-        // Periods drawn from a two-value pool force rate-monotonic ties, the
-        // corner where candidate-last tie-breaking and assigned-order differ.
+        // Periods drawn from a two-value pool force rate-monotonic ties: the
+        // oracle appends each candidate last, so it must rank below every
+        // row of its period in the batched path too.
         let set: TaskSet = wcets
             .iter()
             .enumerate()

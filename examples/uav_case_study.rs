@@ -7,7 +7,7 @@
 
 use hydra_repro::hydra::allocator::{Allocator, HydraAllocator, SingleCoreAllocator};
 use hydra_repro::hydra::{casestudy, catalog, AllocationProblem};
-use hydra_repro::partition::{AdmissionTest, Heuristic, PartitionConfig};
+use hydra_repro::partition::{Heuristic, PartitionConfig};
 use hydra_repro::rt::Time;
 use hydra_repro::sim::attack::AttackScenario;
 use hydra_repro::sim::cdf::EmpiricalCdf;
@@ -23,10 +23,7 @@ fn evaluate(scheme: &dyn Allocator) -> Result<EmpiricalCdf, Box<dyn std::error::
     // Real-time tasks are spread over all cores (worst-fit), as the paper
     // assumes for the multicore design point.
     let problem = AllocationProblem::new(casestudy::uav_rt_tasks(), catalog::table1_tasks(), CORES)
-        .with_partition_config(PartitionConfig::new(
-            Heuristic::WorstFit,
-            AdmissionTest::ResponseTime,
-        ));
+        .with_partition_config(PartitionConfig::new(Heuristic::WorstFit));
     let allocation = scheme.allocate(&problem)?;
 
     println!("== {} ==", scheme.name());

@@ -6,17 +6,14 @@ use hydra_repro::hydra::allocator::{
     Allocator, HydraAllocator, OptimalAllocator, SingleCoreAllocator,
 };
 use hydra_repro::hydra::{casestudy, catalog, AllocationProblem};
-use hydra_repro::partition::{AdmissionTest, Heuristic, PartitionConfig};
+use hydra_repro::partition::{Heuristic, PartitionConfig};
 use hydra_repro::rt::Time;
 use hydra_repro::sim::engine::{simulate, SimConfig};
 use hydra_repro::sim::workload::{simulation_tasks, TaskKind};
 
 fn case_study(cores: usize) -> AllocationProblem {
     AllocationProblem::new(casestudy::uav_rt_tasks(), catalog::table1_tasks(), cores)
-        .with_partition_config(PartitionConfig::new(
-            Heuristic::WorstFit,
-            AdmissionTest::ResponseTime,
-        ))
+        .with_partition_config(PartitionConfig::new(Heuristic::WorstFit))
 }
 
 #[test]

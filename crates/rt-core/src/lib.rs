@@ -14,9 +14,9 @@
 //! * the demand-bound function and the multiprocessor necessary condition of
 //!   Eq. (1) of the paper ([`dbf`]),
 //! * exact response-time analysis for fixed-priority preemptive uniprocessor
-//!   scheduling ([`rta`]),
-//! * a batch kernel solving up to eight per-core RTA instances per
-//!   dispatch, with warm-started recurrences ([`batch`]), and
+//!   scheduling, through one warm-startable recurrence ([`rta`]),
+//! * the switch between batched and scalar reference paths, and the
+//!   partitioner's work counts ([`batch`]), and
 //! * hyperperiod computation ([`hyperperiod`]).
 //!
 //! # Example

@@ -50,8 +50,8 @@ impl ResponseTime {
 /// deadline `deadline`, suffering preemption from `interferers`
 /// (higher-priority tasks on the same core).
 ///
-/// The iteration starts at `wcet` and stops as soon as the candidate exceeds
-/// `deadline`, so it always terminates even for overloaded cores.
+/// The iteration stops as soon as the candidate exceeds `deadline`, so it
+/// always terminates even for overloaded cores.
 #[must_use]
 pub fn response_time_with_interference<'a, I>(
     wcet: Time,
@@ -59,7 +59,8 @@ pub fn response_time_with_interference<'a, I>(
     interferers: I,
 ) -> ResponseTime
 where
-    I: IntoIterator<Item = &'a RtTask> + Clone,
+    I: IntoIterator<Item = &'a RtTask>,
+    I::IntoIter: Clone,
 {
     response_time_with_blocking(wcet, deadline, Time::ZERO, interferers)
 }
@@ -80,32 +81,80 @@ pub fn response_time_with_blocking<'a, I>(
     interferers: I,
 ) -> ResponseTime
 where
-    I: IntoIterator<Item = &'a RtTask> + Clone,
+    I: IntoIterator<Item = &'a RtTask>,
+    I::IntoIter: Clone,
 {
-    let base = wcet.saturating_add(blocking);
-    if base > deadline {
+    let hp = interferers
+        .into_iter()
+        .map(|task| (task.wcet(), task.period()));
+    let hp_util = hp.clone().map(|(c, t)| c.ratio(t)).sum();
+    response_time_seeded(
+        wcet.saturating_add(blocking),
+        deadline,
+        Time::ZERO,
+        hp_util,
+        hp,
+    )
+}
+
+/// Solves the response-time recurrence `R = base + Σ_j ⌈R / T_j⌉ · C_j`
+/// over `interferers`, given as `(C_j, T_j)` pairs, for its least fixed
+/// point, or reports that it passes `deadline`. This is the crate's one
+/// recurrence loop: every response time above comes from it, and the
+/// partitioner calls it directly with its own start hints.
+///
+/// The iteration starts at the larger of two lower bounds of the fixed
+/// point:
+///
+/// * the utilization bound `base / (1 − hp_util)`, since dropping the
+///   ceilings shows `R ≥ base / (1 − U_hp)`. When `hp_util` leaves no
+///   headroom, the interference alone saturates the core and a task with
+///   positive `base` is unschedulable;
+/// * `seed`, typically the response time the task solved to before an
+///   interferer joined. This is the initial-value technique of Davis,
+///   Zabos and Burns ("Efficient exact schedulability tests for fixed
+///   priority real-time systems", IEEE TC 2008).
+///
+/// **Precondition:** both hints are lower bounds. `hp_util` must not exceed
+/// the interferers' total utilization (up to `f64` rounding), and, if the
+/// task is schedulable, `seed` must not exceed its response time. A
+/// response time solved under a subset of the current interferers
+/// qualifies, because adding an interferer can only raise the fixed point;
+/// on an unschedulable task any seed is sound. Under the precondition the
+/// result is bit-identical for all hints, and `Time::ZERO` with `0.0` runs
+/// the plain recurrence from `base`: the recurrence is monotone, so from
+/// any start at or below its least fixed point it climbs to exactly that
+/// point, and when that point lies past the deadline it passes the
+/// deadline from any start. Saturating sums of non-negative terms do not
+/// depend on the order of `interferers`.
+///
+/// # Panics
+///
+/// Panics if an interferer's period is zero.
+#[must_use]
+pub fn response_time_seeded<I>(
+    base: Time,
+    deadline: Time,
+    seed: Time,
+    hp_util: f64,
+    interferers: I,
+) -> ResponseTime
+where
+    I: Iterator<Item = (Time, Time)> + Clone,
+{
+    // `None`: the interference alone saturates the core.
+    let Some(floor) = seed_from_utilization(base.as_ticks(), hp_util) else {
         return ResponseTime::Unschedulable;
-    }
-    let mut util = 0.0f64;
-    for hp in interferers.clone() {
-        util += hp.wcet().ratio(hp.period());
-    }
-    let mut r = match seed_from_utilization(base.as_ticks(), util) {
-        Some(seed) => Time::from_ticks(seed),
-        // The interference alone saturates the core: the recurrence
-        // diverges, so the task cannot meet any deadline.
-        None => return ResponseTime::Unschedulable,
     };
+    // The floor is at least `base`, so this also covers `base > deadline`.
+    let mut r = Time::from_ticks(floor).max(seed);
     if r > deadline {
-        // The lower bound already misses the deadline; the fixed point can
-        // only be larger.
         return ResponseTime::Unschedulable;
     }
     loop {
         let mut next = base;
-        for hp in interferers.clone() {
-            let jobs = r.div_ceil(hp.period());
-            next = next.saturating_add(hp.wcet().saturating_mul(jobs));
+        for (wcet, period) in interferers.clone() {
+            next = next.saturating_add(wcet.saturating_mul(r.div_ceil(period)));
         }
         if next > deadline {
             return ResponseTime::Unschedulable;
@@ -117,17 +166,17 @@ where
     }
 }
 
-/// A sound starting point for the response-time recurrence: the fixed point
-/// satisfies `R ≥ base / (1 − U_hp)` (drop the ceilings of the interference
-/// terms), so iterating from that bound converges to the *same* least fixed
-/// point in far fewer steps — the closer the core is to saturation, the
-/// more of the creeping early iterations the seed skips.
+/// The utilization lower bound of the response-time recurrence: the fixed
+/// point satisfies `R ≥ base / (1 − U_hp)` (drop the ceilings of the
+/// interference terms), so iterating from that bound converges to the
+/// *same* least fixed point in far fewer steps — the closer the core is to
+/// saturation, the more of the creeping early iterations it skips.
 ///
 /// Returns `None` when the higher-priority utilization provably saturates
 /// the core (the recurrence diverges). The utilization margin keeps the
 /// bound conservative against `f64` rounding in `util`: underestimating the
-/// divisor can only lower the seed, never push it past the fixed point.
-pub(crate) fn seed_from_utilization(base: u64, util: f64) -> Option<u64> {
+/// divisor can only lower the bound, never push it past the fixed point.
+fn seed_from_utilization(base: u64, util: f64) -> Option<u64> {
     const MARGIN: f64 = 1e-9;
     if base == 0 {
         return Some(0);
@@ -166,38 +215,10 @@ pub fn response_time(
 /// assignment (single core). Entry `i` corresponds to `TaskId(i)`.
 #[must_use]
 pub fn response_times(tasks: &TaskSet, priorities: &PriorityAssignment) -> Vec<ResponseTime> {
-    let mut out = Vec::new();
-    response_times_into(tasks, priorities, &mut out);
-    out
-}
-
-/// Allocation-free variant of [`response_times`]: clears `out` and fills it
-/// with entry `i` corresponding to `TaskId(i)`, reusing its capacity.
-///
-/// Unlike [`response_time`], no per-task interferer `Vec` is materialised —
-/// the higher-priority filter runs directly over the id range — so hot
-/// callers (the partition admission path) can verify a candidate core
-/// without touching the allocator.
-pub fn response_times_into(
-    tasks: &TaskSet,
-    priorities: &PriorityAssignment,
-    out: &mut Vec<ResponseTime>,
-) {
-    out.clear();
-    out.reserve(tasks.len());
-    for id in tasks.ids() {
-        let target = &tasks[id];
-        let p = priorities.priority(id);
-        let interferers = (0..tasks.len())
-            .map(TaskId)
-            .filter(|&other| priorities.priority(other).is_higher_than(p))
-            .map(|other| &tasks[other]);
-        out.push(response_time_with_interference(
-            target.wcet(),
-            target.deadline(),
-            interferers,
-        ));
-    }
+    tasks
+        .ids()
+        .map(|id| response_time(tasks, priorities, id))
+        .collect()
 }
 
 /// Whether every task meets its deadline on a single core under the given
@@ -385,22 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn response_times_into_reuses_the_buffer_and_matches_the_allocating_variant() {
-        let set: TaskSet = vec![task(1, 4), task(2, 6), task(3, 13)]
-            .into_iter()
-            .collect();
-        let pa = rm(&set);
-        let mut buf = vec![ResponseTime::Unschedulable; 17];
-        response_times_into(&set, &pa, &mut buf);
-        assert_eq!(buf, response_times(&set, &pa));
-        // A second fill must fully replace the previous contents.
-        let smaller: TaskSet = vec![task(3, 4)].into_iter().collect();
-        let pa2 = rm(&smaller);
-        response_times_into(&smaller, &pa2, &mut buf);
-        assert_eq!(buf, response_times(&smaller, &pa2));
-    }
-
-    #[test]
     fn rta_respects_priority_assignment_not_declaration_order() {
         // Declared low-priority first; RM must still figure out the order.
         let set: TaskSet = vec![task(6, 20), task(1, 5)].into_iter().collect();
@@ -458,7 +463,71 @@ mod tests {
             })
         }
 
+        fn arb_set() -> impl Strategy<Value = TaskSet> {
+            prop::collection::vec(arb_task(), 1..=9).prop_map(TaskSet::new)
+        }
+
+        /// The set's tasks in rate-monotonic priority order, each with its
+        /// response time from the per-task analysis.
+        fn rm_rows(set: &TaskSet) -> Vec<(&RtTask, ResponseTime)> {
+            let pa = rm(set);
+            let scalar = response_times(set, &pa);
+            let mut ids: Vec<TaskId> = set.ids().collect();
+            ids.sort_by_key(|&id| pa.priority(id));
+            ids.into_iter().map(|id| (&set[id], scalar[id.0])).collect()
+        }
+
+        /// Solves row `i` of `rows` under the rows above it, as the
+        /// partitioner does: their utilization folded in row order, and the
+        /// recurrence started from `seed`.
+        fn solve_row(rows: &[(&RtTask, ResponseTime)], i: usize, seed: Time) -> ResponseTime {
+            let hp = rows[..i].iter().map(|(t, _)| (t.wcet(), t.period()));
+            let hp_util = hp.clone().map(|(c, t)| c.ratio(t)).sum();
+            response_time_seeded(rows[i].0.wcet(), rows[i].0.deadline(), seed, hp_util, hp)
+        }
+
         proptest! {
+            #[test]
+            fn rows_solved_one_at_a_time_match_the_per_task_analysis(set in arb_set()) {
+                // Arbitrary utilization, overload included: each row solved
+                // under the rows above it reproduces the per-task analysis
+                // and the naive iteration, verdict for verdict and tick for
+                // tick.
+                let rows = rm_rows(&set);
+                for (i, &(task, want)) in rows.iter().enumerate() {
+                    prop_assert_eq!(solve_row(&rows, i, Time::ZERO), want);
+                    let hp: Vec<&RtTask> = rows[..i].iter().map(|&(t, _)| t).collect();
+                    let naive = naive_response_time(task.wcet(), task.deadline(), Time::ZERO, &hp);
+                    prop_assert_eq!(naive, want);
+                }
+            }
+
+            #[test]
+            fn warm_seeds_at_or_below_the_fixed_point_change_no_bit(
+                set in arb_set(),
+                draws in prop::collection::vec(0u64..=u64::MAX, 9)
+            ) {
+                // The seeding precondition: a schedulable row's seed lies in
+                // [0, R] (both ends included on purpose), an unschedulable
+                // row's is arbitrary. Each seeded row reproduces the
+                // unseeded verdict and response time bit for bit.
+                let rows = rm_rows(&set);
+                for (i, (&(task, want), &d)) in rows.iter().zip(&draws).enumerate() {
+                    let seed = match want {
+                        ResponseTime::Schedulable(r) => match d % 4 {
+                            0 => 0,
+                            1 => r.as_ticks(),
+                            _ => d % (r.as_ticks() + 1),
+                        },
+                        ResponseTime::Unschedulable if d % 2 == 0 => {
+                            d % (task.deadline().as_ticks() + 1)
+                        }
+                        ResponseTime::Unschedulable => d,
+                    };
+                    prop_assert_eq!(solve_row(&rows, i, Time::from_ticks(seed)), want);
+                }
+            }
+
             #[test]
             fn seeded_recurrence_is_bit_identical_to_the_naive_iteration(
                 interferers in prop::collection::vec(arb_task(), 0..10),

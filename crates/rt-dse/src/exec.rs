@@ -587,9 +587,9 @@ fn evaluate(
     }
 }
 
-/// Builds one real-time partition: a `partition_tasks` run, spanned and
-/// batch-counted. [`EvalScratch::partition`] calls it once per problem
-/// group and core count.
+/// Builds one real-time partition: a `partition_tasks` run, spanned.
+/// [`EvalScratch::partition`] calls it once per problem group and core
+/// count.
 fn partition_inline(
     problem: &AllocationProblem,
     rt_cores: usize,
@@ -597,20 +597,17 @@ fn partition_inline(
     mode: BatchMode,
 ) -> Result<Partition, AllocationError> {
     let _span = wobs.tracer.span(PHASE_PARTITION);
-    let mut bstats = BatchStats::default();
-    let built = partition_tasks_with_mode(
+    partition_tasks_with_mode(
         &problem.rt_tasks,
         rt_cores,
         &problem.partition_config,
         mode,
-        &mut bstats,
+        &mut BatchStats::default(),
     )
     .map_err(|e| AllocationError::RtPartitionFailed {
         task: e.task,
         cores: rt_cores,
-    });
-    wobs.add_batch_stats(&bstats);
-    built
+    })
 }
 
 /// Runs the scenario's allocator against the group's shared real-time

@@ -25,8 +25,7 @@
 //!
 //! Gauges: `drain.reorder_depth` — outcomes parked in the reorder buffer.
 //!
-//! Histograms: `sweep.scenario_ns` — per-scenario evaluation latency;
-//! `batch.lanes_filled` — occupied lanes per partition-admission batch dispatch.
+//! Histograms: `sweep.scenario_ns` — per-scenario evaluation latency.
 //!
 //! # Trace tracks
 //!
@@ -221,21 +220,6 @@ impl WorkerObs {
         self.shard.counter("optimal.total").add(clamp(total));
     }
 
-    /// Folds a [`rt_core::batch::BatchStats`] delta into the
-    /// `batch.lanes_filled` histogram, which records the occupied-lane count
-    /// of every batch dispatch.
-    pub fn add_batch_stats(&self, stats: &rt_core::batch::BatchStats) {
-        if !self.shard.is_enabled() || stats.is_empty() {
-            return;
-        }
-        let lanes_filled = self.shard.histogram("batch.lanes_filled");
-        for (lanes, &dispatches) in stats.lanes_filled.iter().enumerate() {
-            for _ in 0..dispatches {
-                lanes_filled.record(lanes as u64);
-            }
-        }
-    }
-
     /// Records one scenario's evaluation latency (`sweep.scenario_ns`) and
     /// bumps `sweep.scenarios_done`.
     pub fn record_scenario(&self, elapsed: Option<Duration>) {
@@ -282,9 +266,6 @@ mod tests {
         worker.record_scenario(None);
         worker.add_sim_stats(SimStats::default());
         worker.add_search_stats(1, 2, 3);
-        let mut batch = rt_core::batch::BatchStats::default();
-        batch.record_batch(8);
-        worker.add_batch_stats(&batch);
         assert!(obs.registry().snapshot().counters.is_empty());
         assert!(obs.phase_rows().is_empty());
     }
@@ -298,14 +279,9 @@ mod tests {
         assert!(!worker.tracer.is_enabled());
         worker.record_scenario(Some(Duration::from_micros(5)));
         worker.add_search_stats(10, 5, 15);
-        let mut batch = rt_core::batch::BatchStats::default();
-        batch.record_batch(4);
-        batch.record_batch(8);
-        worker.add_batch_stats(&batch);
         let snap = obs.registry().snapshot();
         assert_eq!(snap.counter("sweep.scenarios_done"), 1);
         assert_eq!(snap.counter("optimal.total"), 15);
-        assert_eq!(snap.histograms["batch.lanes_filled"].count, 2);
         assert_eq!(snap.histograms["sweep.scenario_ns"].count, 1);
         assert!(obs.phase_rows().is_empty());
     }

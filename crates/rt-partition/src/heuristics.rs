@@ -8,9 +8,9 @@
 use core::cmp::Ordering;
 use core::fmt;
 
-use rt_core::batch::{BatchMode, BatchRtaKernel, BatchStats, LANES};
-use rt_core::rta::is_schedulable_rm;
-use rt_core::{TaskId, TaskSet};
+use rt_core::batch::{BatchMode, BatchStats};
+use rt_core::rta::{is_schedulable_rm, response_time_seeded};
+use rt_core::{TaskId, TaskSet, Time};
 
 use crate::partition::{CoreId, Partition};
 
@@ -75,8 +75,9 @@ impl fmt::Display for PartitionError {
 
 impl std::error::Error for PartitionError {}
 
-/// Picks the core the heuristic prefers among `admitting` — shared verbatim
-/// between the scalar and batched paths so selection can never diverge.
+/// Picks the core the heuristic prefers among `admitting` — the selection
+/// rule of the scalar oracle. Best fit's `max_by` keeps the last of equal
+/// maxima, worst fit's `min_by` the first of equal minima.
 fn choose_core(admitting: &[(CoreId, f64)], heuristic: Heuristic) -> Option<CoreId> {
     let by_util =
         |a: &&(CoreId, f64), b: &&(CoreId, f64)| a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal);
@@ -87,9 +88,24 @@ fn choose_core(admitting: &[(CoreId, f64)], heuristic: Heuristic) -> Option<Core
     .map(|&(c, _)| c)
 }
 
+/// The order in which the batched partitioner tests `(core, utilization)`
+/// entries, so that the first core that admits is the one [`choose_core`]
+/// picks among all admitting cores: best fit tests the fullest core first
+/// and breaks ties toward the highest index; worst fit tests the emptiest
+/// first and breaks ties toward the lowest index.
+fn preference(heuristic: Heuristic, a: &(usize, f64), b: &(usize, f64)) -> Ordering {
+    let emptiest_first =
+        a.1.partial_cmp(&b.1)
+            .unwrap_or(Ordering::Equal)
+            .then(a.0.cmp(&b.0));
+    match heuristic {
+        Heuristic::BestFit => emptiest_first.reverse(),
+        Heuristic::WorstFit => emptiest_first,
+    }
+}
+
 /// Partitions `tasks` over `cores` identical cores according to `config`,
-/// through the batched admission kernels (see
-/// [`partition_tasks_with_mode`]).
+/// on the batched path (see [`partition_tasks_with_mode`]).
 ///
 /// # Errors
 ///
@@ -114,16 +130,17 @@ pub fn partition_tasks(
 }
 
 /// Partitions `tasks` over `cores` identical cores according to `config`,
-/// choosing between the batched admission kernels and the scalar reference
-/// path.
+/// choosing between the batched path and the scalar reference path.
 ///
-/// Under [`BatchMode::Batch`] the response-time admission test of all cores
-/// is evaluated through the [`BatchRtaKernel`], one lane per candidate
-/// core, re-verifying only the suffix of each core's rate-monotonic order
-/// below the insertion point, warm-started from each row's last solved
-/// response time; `stats` counts the dispatches. Both paths produce
-/// **identical** partitions; [`BatchMode::Scalar`] forces the reference
-/// implementation (the differential oracle).
+/// Under [`BatchMode::Batch`] each task tests the cores one at a time in the
+/// heuristic's preference order and goes to the first core that admits it.
+/// A core's test re-verifies only the candidate and the rows below it in
+/// the core's rate-monotonic order, each warm-started from its last solved
+/// response time, unless the hyperbolic bound admits the candidate
+/// outright; `stats` records each exact test as one single-lane entry
+/// ([`BatchStats`]). [`BatchMode::Scalar`] tests every core with the full
+/// analysis and then picks one (the differential oracle). Both paths
+/// produce **identical** partitions.
 ///
 /// # Errors
 ///
@@ -179,16 +196,16 @@ fn partition_tasks_scalar(
     Ok(partition)
 }
 
-/// One task row of a core's rate-monotonic order, in ticks.
+/// One task row of a core's rate-monotonic order.
 #[derive(Debug, Clone, Copy)]
 struct CoreRow {
-    wcet: u64,
-    period: u64,
-    deadline: u64,
+    wcet: Time,
+    period: Time,
+    deadline: Time,
     /// The row's last solved response time under a subset of its current
-    /// interferers (0: never solved), so never above its current exact
-    /// response time — the warm-start seed of its next admission test.
-    response: u64,
+    /// interferers (zero: never solved), so never above its current exact
+    /// response time — the warm-start seed of its next exact test.
+    response: Time,
 }
 
 /// One core's incremental packing state for the batched partitioner.
@@ -210,17 +227,15 @@ struct CoreRows {
     /// zero means the whole core is implicit-deadline and the hyperbolic
     /// utilization bound applies.
     non_implicit: usize,
-    /// Response times of the current candidate's exact test, by row (the
-    /// candidate at [`CoreRows::position`]); rows the test did not solve
-    /// keep their seeds. Empty when the hyperbolic bound admitted the
-    /// candidate without a test.
-    solved: Vec<u64>,
+    /// Response times of the rows the current exact test verified, from the
+    /// candidate's row down.
+    solved: Vec<Time>,
 }
 
 impl CoreRows {
     /// Where a candidate of period `p` sits, during its test and once
     /// assigned: after every row with `period <= p`.
-    fn position(&self, p: u64) -> usize {
+    fn position(&self, p: Time) -> usize {
         self.rows.partition_point(|row| row.period <= p)
     }
 
@@ -248,44 +263,60 @@ impl CoreRows {
         product <= 2.0 - 1e-9
     }
 
-    /// Loads the core plus `cand` at its position into `lane`, every row
-    /// seeded with its last solved response time, and primes `solved` with
-    /// those seeds. Only the candidate and the rows below it are
-    /// re-verified: the rows above it keep their interferers.
-    fn load(&mut self, kernel: &mut BatchRtaKernel, lane: usize, cand: CoreRow) {
+    /// Assigns `cand` to this core if the core admits it, and reports
+    /// whether it did; a core that refuses is left as it was.
+    ///
+    /// Unless the hyperbolic bound admits the candidate, the candidate's row
+    /// and the rows below it run the exact test (the start row: the rows
+    /// above keep their interferers), and `stats` records it. After an
+    /// exact admission the solved response times become the rows' new
+    /// seeds; after a bound admission the rows keep their old ones, which
+    /// adding an interferer leaves valid.
+    fn try_assign(&mut self, cand: CoreRow, cand_util: f64, stats: &mut BatchStats) -> bool {
         let pos = self.position(cand.period);
-        self.solved.clear();
-        let (above, below) = self.rows.split_at(pos);
-        for row in above.iter().chain([&cand]).chain(below) {
-            kernel.push_seeded(lane, row.wcet, row.period, row.deadline, row.response);
-            self.solved.push(row.response);
+        let bound = self.bound_admits(cand_util, cand.deadline == cand.period);
+        self.rows.insert(pos, cand);
+        if !bound {
+            stats.lanes_filled[1] += 1;
+            if !self.verify_from(pos) {
+                self.rows.remove(pos);
+                return false;
+            }
         }
-        kernel.set_start(lane, pos);
+        self.util.push(cand_util);
+        self.non_implicit += usize::from(cand.deadline != cand.period);
+        true
     }
 
-    /// Assigns `cand` to this core. After an exact test the solved response
-    /// times become the rows' new seeds; after a bound admission the rows
-    /// keep their old ones, which adding an interferer leaves valid.
-    fn commit(&mut self, mut cand: CoreRow, util: f64) {
-        let pos = self.position(cand.period);
-        if !self.solved.is_empty() {
-            for (k, row) in self.rows.iter_mut().enumerate() {
-                row.response = self.solved[k + usize::from(k >= pos)];
+    /// Exact response-time analysis of `rows[start..]`, each row under the
+    /// rows above it and warm-started from its seed, stopping at the first
+    /// miss. When every row passes, the solved response times replace the
+    /// seeds.
+    fn verify_from(&mut self, start: usize) -> bool {
+        self.solved.clear();
+        let mut hp_util: f64 = self.rows[..start]
+            .iter()
+            .map(|row| row.wcet.ratio(row.period))
+            .sum();
+        for (i, row) in self.rows.iter().enumerate().skip(start) {
+            let hp = self.rows[..i].iter().map(|r| (r.wcet, r.period));
+            match response_time_seeded(row.wcet, row.deadline, row.response, hp_util, hp).time() {
+                Some(r) => self.solved.push(r),
+                None => return false,
             }
-            cand.response = self.solved[pos];
+            hp_util += row.wcet.ratio(row.period);
         }
-        self.rows.insert(pos, cand);
-        self.non_implicit += usize::from(cand.deadline != cand.period);
-        self.util.push(util);
+        for (row, &r) in self.rows[start..].iter_mut().zip(&self.solved) {
+            row.response = r;
+        }
+        true
     }
 }
 
-/// The batched response-time partitioner: every task's admission test over
-/// all cores runs through the [`BatchRtaKernel`], one lane per core, in
-/// dispatches of up to [`LANES`] cores (a one-core remainder or platform
-/// is a one-lane dispatch). Each core re-verifies only the rows at and
-/// below the candidate, warm-started from their last solved response times.
-/// Bit-identical to [`partition_tasks_scalar`].
+/// The batched response-time partitioner: each task tests the cores one at
+/// a time in [`preference`] order and goes to the first core that admits
+/// it, so a core after the first admitting one is never tested and keeps
+/// its seeds. Bit-identical to [`partition_tasks_scalar`].
 fn partition_tasks_batched(
     tasks: &TaskSet,
     cores: usize,
@@ -294,60 +325,26 @@ fn partition_tasks_batched(
 ) -> Result<Partition, PartitionError> {
     let mut partition = Partition::new(tasks.len(), cores);
     let mut states: Vec<CoreRows> = (0..cores).map(|_| CoreRows::default()).collect();
-    let mut kernel = BatchRtaKernel::new();
-    let mut admit = vec![false; cores];
-    let mut admitting: Vec<(CoreId, f64)> = Vec::new();
-    let mut pending: Vec<usize> = Vec::with_capacity(cores);
+    let mut order: Vec<(usize, f64)> = Vec::with_capacity(cores);
 
     for task_id in tasks.ids() {
         let candidate = &tasks[task_id];
         let cand = CoreRow {
-            wcet: candidate.wcet().as_ticks(),
-            period: candidate.period().as_ticks(),
-            deadline: candidate.deadline().as_ticks(),
-            response: 0,
+            wcet: candidate.wcet(),
+            period: candidate.period(),
+            deadline: candidate.deadline(),
+            response: Time::ZERO,
         };
         let cu = candidate.utilization();
 
-        // Cores the hyperbolic bound certifies outright skip the exact
-        // test entirely; the rest queue for the kernel.
-        pending.clear();
-        for (core, st) in states.iter_mut().enumerate() {
-            if st.bound_admits(cu, cand.deadline == cand.period) {
-                admit[core] = true;
-                st.solved.clear();
-            } else {
-                pending.push(core);
-            }
-        }
-
-        for chunk in pending.chunks(LANES) {
-            kernel.begin(chunk.len());
-            stats.record_batch(chunk.len());
-            for (lane, &core) in chunk.iter().enumerate() {
-                states[core].load(&mut kernel, lane, cand);
-            }
-            let ok = kernel.solve(true, |lane, row, verdict| {
-                if let Some(r) = verdict.time() {
-                    states[chunk[lane]].solved[row] = r.as_ticks();
-                }
-            });
-            for (lane, &core) in chunk.iter().enumerate() {
-                admit[core] = ok[lane];
-            }
-        }
-
-        admitting.clear();
-        for core in partition.core_ids() {
-            if admit[core.0] {
-                admitting.push((core, states[core.0].utilization()));
-            }
-        }
-        match choose_core(&admitting, config.heuristic) {
-            Some(core) => {
-                partition.assign(task_id, core);
-                states[core.0].commit(cand, cu);
-            }
+        order.clear();
+        order.extend(states.iter().map(CoreRows::utilization).enumerate());
+        order.sort_by(|a, b| preference(config.heuristic, a, b));
+        match order
+            .iter()
+            .find(|&&(core, _)| states[core].try_assign(cand, cu, stats))
+        {
+            Some(&(core, _)) => partition.assign(task_id, CoreId(core)),
             None => {
                 return Err(PartitionError {
                     task: task_id,
@@ -442,6 +439,33 @@ mod tests {
         assert_eq!(PartitionConfig::default(), PartitionConfig::paper_default());
     }
 
+    /// Partitions `tasks` on both paths, asserts that they agree, and
+    /// returns each task's core with the batched path's work counts.
+    fn both_paths(tasks: &TaskSet, cores: usize, heuristic: Heuristic) -> (Vec<usize>, BatchStats) {
+        let cfg = PartitionConfig::new(heuristic);
+        let mut stats = BatchStats::default();
+        let batch =
+            partition_tasks_with_mode(tasks, cores, &cfg, BatchMode::Batch, &mut stats).unwrap();
+        let scalar = partition_tasks_with_mode(
+            tasks,
+            cores,
+            &cfg,
+            BatchMode::Scalar,
+            &mut BatchStats::default(),
+        )
+        .unwrap();
+        assert_eq!(batch, scalar, "{heuristic:?}");
+        let placed = tasks.ids().map(|id| batch.core_of(id).unwrap().0);
+        (placed.collect(), stats)
+    }
+
+    /// Exact tests recorded: one single-lane entry each.
+    fn exact_tests(count: u64) -> BatchStats {
+        let mut stats = BatchStats::default();
+        stats.lanes_filled[1] = count;
+        stats
+    }
+
     #[test]
     fn period_tie_candidates_rank_below_their_peers_like_the_oracle() {
         // A, B and C share a period. Best fit puts A on core 1 (the last of
@@ -457,29 +481,63 @@ mod tests {
             .unwrap()
         };
         let tasks = set(vec![t(1, 10), t(2, 2), t(1, 10)]);
-        let cfg = PartitionConfig::paper_default();
-        let mut stats = BatchStats::default();
-        let batch =
-            partition_tasks_with_mode(&tasks, 2, &cfg, BatchMode::Batch, &mut stats).unwrap();
-        let scalar = partition_tasks_with_mode(
-            &tasks,
-            2,
-            &cfg,
-            BatchMode::Scalar,
-            &mut BatchStats::default(),
-        )
-        .unwrap();
-        assert_eq!(batch, scalar);
-        assert_eq!(batch.core_of(TaskId(0)), Some(CoreId(1)));
-        assert_eq!(batch.core_of(TaskId(1)), Some(CoreId(0)));
-        assert_eq!(batch.core_of(TaskId(2)), Some(CoreId(0)));
-        // A passes the hyperbolic bound on both empty cores. B's
-        // constrained deadline sends both cores to the exact test: one
-        // two-lane dispatch. The bound admits C on A's core, so only B's
-        // core is tested: one one-lane dispatch.
-        let mut expected = [0; LANES + 1];
-        expected[1] = 1;
-        expected[2] = 1;
-        assert_eq!(stats.lanes_filled, expected);
+        let (placed, _) = both_paths(&tasks, 2, Heuristic::BestFit);
+        assert_eq!(placed, [1, 0, 0]);
+    }
+
+    #[test]
+    fn equal_loads_tie_to_the_highest_core_under_best_fit_and_the_lowest_under_worst_fit() {
+        // Period 10 ms throughout; every tie below is exact in f64, since
+        // 0.6 is exactly 2 × 0.3.
+        let tasks = set(vec![
+            task(6, 10),
+            task(6, 10),
+            task(3, 10),
+            task(3, 10),
+            task(1, 10),
+        ]);
+        // Best fit: the first task ties three empty cores and takes core 2.
+        // The second does not fit there and ties the two empty cores: core
+        // 1. The third ties cores 1 and 2 at 0.6 and takes core 2. The
+        // fourth does not fit on core 2 and takes core 1. The last ties
+        // cores 1 and 2 at 0.9 and takes core 2. Core 0 stays empty.
+        assert_eq!(both_paths(&tasks, 3, Heuristic::BestFit).0, [2, 1, 2, 1, 2]);
+        // Worst fit: the first three take the empty cores from core 0 up,
+        // the fourth joins the emptiest core 2, and the last ties all three
+        // cores at 0.6 and takes core 0.
+        assert_eq!(
+            both_paths(&tasks, 3, Heuristic::WorstFit).0,
+            [0, 1, 2, 2, 0]
+        );
+    }
+
+    #[test]
+    fn exact_tests_stop_at_the_first_admitting_core() {
+        // Every deadline is constrained, so the hyperbolic bound never
+        // applies and every tested core runs the exact test.
+        let t = |c: u64| {
+            RtTask::new(
+                Time::from_millis(c),
+                Time::from_millis(10),
+                Time::from_millis(8),
+            )
+            .unwrap()
+        };
+        let tasks = set(vec![t(4), t(4), t(4), t(2), t(2)]);
+        // Best fit: the first two tasks fill core 2 (response time 8). Each
+        // later task fails there first and then fits on core 1: 1 + 1 + 2 +
+        // 2 + 2 tests, where testing every core would take 15.
+        let (placed, stats) = both_paths(&tasks, 3, Heuristic::BestFit);
+        assert_eq!(placed, [2, 2, 1, 1, 1]);
+        assert_eq!(stats, exact_tests(8));
+        // Worst fit: the emptiest core admits every task, one test each.
+        let (placed, stats) = both_paths(&tasks, 3, Heuristic::WorstFit);
+        assert_eq!(placed, [0, 1, 2, 0, 1]);
+        assert_eq!(stats, exact_tests(5));
+        // Implicit deadlines under light load: the bound admits everything.
+        let light = set(vec![task(1, 10), task(2, 20), task(1, 10)]);
+        for heuristic in [Heuristic::BestFit, Heuristic::WorstFit] {
+            assert_eq!(both_paths(&light, 2, heuristic).1, exact_tests(0));
+        }
     }
 }

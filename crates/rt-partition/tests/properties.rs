@@ -18,7 +18,7 @@ fn arb_taskset() -> impl Strategy<Value = TaskSet> {
 
 /// Constrained-deadline tasks whose periods often tie: half of them draw
 /// from a five-value pool. About two in five keep an implicit deadline, so
-/// the hyperbolic-bound shortcut and the exact kernel both run.
+/// the hyperbolic-bound shortcut and the exact test both run.
 fn arb_tied_constrained_task() -> impl Strategy<Value = RtTask> {
     (
         500u64..=30_000,
@@ -67,7 +67,8 @@ proptest! {
 
     #[test]
     fn batched_partitioner_matches_the_scalar_oracle(set in arb_taskset(), cores in 2usize..=9) {
-        // Cores up to 9 exercise the ragged single-lane remainder chunk.
+        // Up to nine cores, so a task may test many cores before one admits
+        // it.
         for cfg in all_configs() {
             let mut stats = BatchStats::default();
             let batch = partition_tasks_with_mode(&set, cores, &cfg, BatchMode::Batch, &mut stats);
@@ -87,9 +88,8 @@ proptest! {
         tasks in prop::collection::vec(arb_tied_constrained_task(), 1..=20),
         cores in 1usize..=9
     ) {
-        // One core is a one-lane dispatch, nine a full dispatch plus a
-        // one-lane remainder; a candidate loses every period tie, and every
-        // re-verified row starts from its warm-start seed.
+        // From one core to nine; a candidate loses every period tie, and
+        // every re-verified row starts from its warm-start seed.
         let set = TaskSet::new(tasks);
         for cfg in all_configs() {
             let batch = partition_tasks_with_mode(
@@ -114,6 +114,32 @@ proptest! {
             .map(|(i, &c)| {
                 let t = if i % 2 == 0 { 40_000 } else { 80_000 };
                 RtTask::implicit_deadline(Time::from_micros(c.min(t)), Time::from_micros(t)).unwrap()
+            })
+            .collect();
+        for cfg in all_configs() {
+            let batch = partition_tasks_with_mode(
+                &set, cores, &cfg, BatchMode::Batch, &mut BatchStats::default());
+            let scalar = partition_tasks_with_mode(
+                &set, cores, &cfg, BatchMode::Scalar, &mut BatchStats::default());
+            prop_assert_eq!(batch, scalar, "config {:?} diverged", cfg);
+        }
+    }
+
+    #[test]
+    fn batched_partitioner_matches_the_oracle_on_equal_loads(
+        picks in prop::collection::vec(0usize..6, 1..=16),
+        cores in 1usize..=6
+    ) {
+        // Three utilizations (0.125, 0.25, 0.5) over two periods: cores tie
+        // on load all the time, not only while empty, so the batched path's
+        // test order must break every tie the way the oracle's selection
+        // does.
+        let set: TaskSet = picks
+            .iter()
+            .map(|&pick| {
+                let t = if pick % 2 == 0 { 40_000 } else { 80_000 };
+                let c = t >> (1 + pick / 2);
+                RtTask::implicit_deadline(Time::from_micros(c), Time::from_micros(t)).unwrap()
             })
             .collect();
         for cfg in all_configs() {

@@ -544,7 +544,7 @@ mod tests {
         let mut no_steps = tiny_spec();
         no_steps.utilizations = UtilizationGrid::NormalizedSteps(0);
         let mut no_utils = tiny_spec();
-        no_utils.utilizations = UtilizationGrid::Absolute(Vec::new());
+        no_utils.utilizations = UtilizationGrid::Fractions(Vec::new());
         let mut no_sample = tiny_spec();
         no_sample.expansion = crate::spec::Expansion::Sampled(0);
         // Each is fine without the frontier or with a trial.

@@ -260,8 +260,6 @@ pub enum UtilizationGrid {
     NormalizedSteps(usize),
     /// Explicit per-core-normalised fractions (each multiplied by `M`).
     Fractions(Vec<f64>),
-    /// Explicit absolute total utilizations, used as-is for every core count.
-    Absolute(Vec<f64>),
     /// No utilization axis (fixed workloads such as the UAV case study).
     NotApplicable,
 }
@@ -285,7 +283,6 @@ impl UtilizationGrid {
             UtilizationGrid::Fractions(fractions) => {
                 fractions.iter().map(|f| f * cores as f64).collect()
             }
-            UtilizationGrid::Absolute(values) => values.clone(),
             UtilizationGrid::NotApplicable => Vec::new(),
         }
     }
@@ -447,7 +444,7 @@ impl ScenarioSpec {
             UtilizationGrid::NormalizedSteps(0) => {
                 return Err("util_steps must be at least 1".to_owned());
             }
-            UtilizationGrid::Fractions(values) | UtilizationGrid::Absolute(values) => {
+            UtilizationGrid::Fractions(values) => {
                 if values.is_empty() {
                     return Err("utils must list at least one utilization".to_owned());
                 }

@@ -702,8 +702,9 @@ mod tests {
 
     #[test]
     fn batched_and_scalar_kernels_stream_identical_bytes() {
-        // The batch-kernel contract, pinned: switching the executor between the
-        // 8-lane structure-of-arrays kernels (the default) and the scalar
+        // The batch-mode contract, pinned: switching the executor between the
+        // batched paths (the default: the partitioner's preference-order
+        // early exit and joint refinement's 8-lane kernels) and the scalar
         // oracles never changes an output byte — across the full allocator and
         // period-policy axes, at any thread count.
         let mut spec = ScenarioSpec::synthetic("batch-identity");

@@ -1,33 +1,41 @@
 //! Reproduces Figure 3: the difference in cumulative tightness between HYDRA
 //! and the optimal (exhaustive) allocation on a 2-core platform with up to 6
-//! security tasks.
-//!
-//! Usage: `cargo run --release -p hydra-bench --bin fig3_optimality_gap
-//! [--quick] [--trials N] [--seed S] [--out DIR]`
+//! security tasks. `--help` lists the options.
 
 use hydra_bench::fig3::{run, tightness_table, Fig3Config};
-use hydra_bench::{CliFlag, CliOptions};
+use hydra_bench::{args_or_exit, or_exit};
+use rt_dse::cli::Args;
+
+const USAGE: &str = "\
+fig3_optimality_gap — Figure 3: tightness gap of HYDRA to the optimum (M = 2)
+
+OPTIONS:
+    --quick               8 of the 39 utilization points, 10 trials
+    --trials N            task sets per utilization point    [default: 100]
+    --seed S              base seed                          [default: 2018]
+    --out DIR             directory for the CSV              [default: results]
+    --help                print this message
+";
 
 fn main() {
-    let options =
-        CliOptions::from_env(&[CliFlag::Quick, CliFlag::Trials, CliFlag::Seed, CliFlag::Out]);
-    let mut config = if options.quick {
+    let args = args_or_exit(USAGE);
+    let config = or_exit(config(&args));
+    let table = tightness_table(&run(&config));
+    print!("{}", table.to_console());
+    let dir = args.value_of("--out").unwrap_or("results");
+    let path = table.write_csv_or_exit(dir, "fig3_optimality_gap");
+    println!("\nwrote {}", path.display());
+}
+
+/// The experiment `args` ask for, refused as `dse sweep` refuses its spec.
+fn config(args: &Args) -> Result<Fig3Config, String> {
+    let mut config = if args.flag("--quick") {
         Fig3Config::quick()
     } else {
         Fig3Config::default()
     };
-    if let Some(trials) = options.trials {
-        config.trials = trials;
-    }
-    if let Some(seed) = options.seed {
-        config.seed = seed;
-    }
-
-    let points = run(&config);
-    let table = tightness_table(&points);
-    print!("{}", table.to_console());
-
-    let dir = options.output_dir.unwrap_or_else(|| "results".to_owned());
-    let path = table.write_csv_or_exit(&dir, "fig3_optimality_gap");
-    println!("\nwrote {}", path.display());
+    config.trials = args.parsed("--trials")?.unwrap_or(config.trials);
+    config.seed = args.parsed("--seed")?.unwrap_or(config.seed);
+    config.spec().validate()?;
+    Ok(config)
 }

@@ -1,41 +1,44 @@
 //! Compares the fixed / adapt / joint period policies on paired HYDRA
 //! allocations and prints the cumulative-tightness CDF per policy (the
-//! period-adaptation comparison of the 2019 follow-up paper).
-//!
-//! Usage: `cargo run --release -p hydra-bench --bin period_policy_cdf
-//! [--quick] [--trials N] [--seed S] [--cores A,B] [--out DIR]`
+//! period-adaptation comparison of the 2019 follow-up paper). `--help`
+//! lists the options.
 
 use hydra_bench::period_policy::{cdf_table, run, PeriodPolicyConfig};
-use hydra_bench::{CliFlag, CliOptions};
+use hydra_bench::{args_or_exit, or_exit};
+use rt_dse::cli::Args;
+
+const USAGE: &str = "\
+period_policy_cdf — tightness CDF of the fixed, adapt and joint period policies
+
+OPTIONS:
+    --quick               2 cores, 8 of the 39 utilization points, 10 trials
+    --trials N            task sets per utilization point    [default: 100]
+    --cores A,B,...       core counts                        [default: 2,4]
+    --seed S              base seed                          [default: 2019]
+    --out DIR             directory for the CSV              [default: results]
+    --help                print this message
+";
 
 fn main() {
-    let options = CliOptions::from_env(&[
-        CliFlag::Quick,
-        CliFlag::Trials,
-        CliFlag::Seed,
-        CliFlag::Cores,
-        CliFlag::Out,
-    ]);
-    let mut config = if options.quick {
+    let args = args_or_exit(USAGE);
+    let config = or_exit(config(&args));
+    let table = cdf_table(&run(&config));
+    print!("{}", table.to_console());
+    let dir = args.value_of("--out").unwrap_or("results");
+    let path = table.write_csv_or_exit(dir, "period_policy_cdf");
+    println!("\nwrote {}", path.display());
+}
+
+/// The experiment `args` ask for, refused as `dse sweep` refuses its spec.
+fn config(args: &Args) -> Result<PeriodPolicyConfig, String> {
+    let mut config = if args.flag("--quick") {
         PeriodPolicyConfig::quick()
     } else {
         PeriodPolicyConfig::default()
     };
-    if let Some(trials) = options.trials {
-        config.trials = trials;
-    }
-    if let Some(seed) = options.seed {
-        config.seed = seed;
-    }
-    if let Some(cores) = options.cores {
-        config.cores = cores;
-    }
-
-    let cdfs = run(&config);
-    let table = cdf_table(&cdfs);
-    print!("{}", table.to_console());
-
-    let dir = options.output_dir.unwrap_or_else(|| "results".to_owned());
-    let path = table.write_csv_or_exit(&dir, "period_policy_cdf");
-    println!("\nwrote {}", path.display());
+    config.trials = args.parsed("--trials")?.unwrap_or(config.trials);
+    config.cores = args.parsed_list("--cores")?.unwrap_or(config.cores);
+    config.seed = args.parsed("--seed")?.unwrap_or(config.seed);
+    config.spec().validate()?;
+    Ok(config)
 }

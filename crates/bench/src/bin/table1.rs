@@ -1,17 +1,22 @@
 //! Prints Table I (the security-task catalogue) and writes it to
-//! `results/table1.csv`.
-//!
-//! Usage: `cargo run --release -p hydra-bench --bin table1 [--out DIR]`
+//! `results/table1.csv`. `--help` lists the options.
 
-use hydra_bench::report::ResultTable;
+use hydra_bench::args_or_exit;
 use hydra_bench::table1::build_table;
-use hydra_bench::{CliFlag, CliOptions};
+
+const USAGE: &str = "\
+table1 — Table I: the security-task catalogue
+
+OPTIONS:
+    --out DIR             directory for the CSV              [default: results]
+    --help                print this message
+";
 
 fn main() {
-    let options = CliOptions::from_env(&[CliFlag::Out]);
-    let table: ResultTable = build_table();
+    let args = args_or_exit(USAGE);
+    let table = build_table();
     print!("{}", table.to_console());
-    let dir = options.output_dir.unwrap_or_else(|| "results".to_owned());
-    let path = table.write_csv_or_exit(&dir, "table1");
+    let dir = args.value_of("--out").unwrap_or("results");
+    let path = table.write_csv_or_exit(dir, "table1");
     println!("\nwrote {}", path.display());
 }

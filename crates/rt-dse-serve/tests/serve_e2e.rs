@@ -149,17 +149,27 @@ fn health_index_and_404s() {
 
 #[test]
 fn a_refused_spec_never_reaches_a_runner() {
-    // A zero detection horizon used to be accepted and then panic the
-    // runner that took it; with one runner, no later job would ever run.
+    // Each of these used to be accepted and then panic the runner that
+    // took it (a zero detection horizon; a security share one task cannot
+    // carry); with one runner, no later job would ever run.
     let (addr, _server) = start_server(1, None);
-    let zero_horizon =
-        r#"{"workload": "uav", "eval": "detection", "horizon": 0, "cores": [2], "trials": 1}"#;
-    let (status, body) = exchange(addr, "POST", "/v1/sweep", zero_horizon);
-    assert_eq!(status, 400);
-    assert_eq!(
-        json_of(&body).get("error").and_then(json::Json::as_str),
-        Some("horizon must be greater than 0")
-    );
+    for (refused, reason) in [
+        (
+            r#"{"workload": "uav", "eval": "detection", "horizon": 0, "cores": [2], "trials": 1}"#,
+            "horizon must be greater than 0",
+        ),
+        (
+            r#"{"sec_tasks": [1, 1], "cores": [8], "utils": [0.6]}"#,
+            "utilization 4.8 on 8 cores needs at least 2 security tasks, but sec_tasks starts at 1",
+        ),
+    ] {
+        let (status, body) = exchange(addr, "POST", "/v1/sweep", refused);
+        assert_eq!(status, 400);
+        assert_eq!(
+            json_of(&body).get("error").and_then(json::Json::as_str),
+            Some(reason)
+        );
+    }
 
     // The runner is still there: the next valid job runs to the end (the
     // client's read timeout fails the test instead of waiting forever).

@@ -161,7 +161,7 @@ fn both_surfaces_build_the_same_spec() {
 
 /// Every refusal the builder and `ScenarioSpec::validate` make, with the
 /// message both surfaces must print.
-const INVALID: [(&[&str], &str, &str); 32] = [
+const INVALID: [(&[&str], &str, &str); 33] = [
     (
         &["--workload", "uav", "--eval", "detection", "--horizon", "0"],
         r#"{"workload": "uav", "eval": "detection", "horizon": 0}"#,
@@ -306,6 +306,13 @@ const INVALID: [(&[&str], &str, &str); 32] = [
         &["--sec-tasks", "2"],
         r#"{"sec_tasks": [2]}"#,
         "sec_tasks expects two counts, lo and hi",
+    ),
+    // Up to 4.8 - 4.8 / 1.3 of the 8 cores' 4.8 is security utilization,
+    // more than one task can carry; the generator used to panic mid-run.
+    (
+        &["--sec-tasks", "1,1", "--cores", "8", "--utils", "0.6"],
+        r#"{"sec_tasks": [1, 1], "cores": [8], "utils": [0.6]}"#,
+        "utilization 4.8 on 8 cores needs at least 2 security tasks, but sec_tasks starts at 1",
     ),
     (
         &["--workload", "quantum"],

@@ -428,7 +428,9 @@ mod tests {
     use crate::frontier::FrontierRunner;
     use crate::scenario::ScenarioOutcome;
     use crate::sink::{summary_to_csv, to_csv, to_jsonl, JsonlSink};
-    use crate::spec::{AllocatorKind, FrontierConfig, PeriodPolicy, UtilizationGrid};
+    use crate::spec::{
+        AllocatorKind, FrontierConfig, PeriodPolicy, SyntheticOverrides, UtilizationGrid, Workload,
+    };
     use proptest::prelude::*;
 
     fn tiny_spec() -> ScenarioSpec {
@@ -547,6 +549,22 @@ mod tests {
         no_utils.utilizations = UtilizationGrid::Fractions(Vec::new());
         let mut no_sample = tiny_spec();
         no_sample.expansion = crate::spec::Expansion::Sampled(0);
+        // Specs that used to panic inside a worker or run nothing.
+        let with = |edit: fn(&mut ScenarioSpec)| {
+            let mut spec = tiny_spec();
+            edit(&mut spec);
+            spec
+        };
+        fn set_ranges(
+            spec: &mut ScenarioSpec,
+            rt: Option<(usize, usize)>,
+            sec: Option<(usize, usize)>,
+        ) {
+            spec.workload = Workload::Synthetic(SyntheticOverrides {
+                rt_tasks: rt,
+                security_tasks: sec,
+            });
+        }
         // Each is fine without the frontier or with a trial.
         let mut sampled = frontier.clone();
         sampled.explore = ExploreMode::Exhaustive;
@@ -570,6 +588,22 @@ mod tests {
             no_steps,
             no_utils,
             no_sample,
+            with(|s| s.cores = vec![0]),
+            with(|s| s.cores = Vec::new()),
+            with(|s| s.utilizations = UtilizationGrid::Fractions(vec![0.0])),
+            with(|s| s.utilizations = UtilizationGrid::Fractions(vec![-0.5])),
+            with(|s| s.utilizations = UtilizationGrid::Fractions(vec![f64::NAN])),
+            with(|s| s.utilizations = UtilizationGrid::NotApplicable),
+            with(|s| s.allocators = Vec::new()),
+            with(|s| s.period_policies = Vec::new()),
+            with(|s| set_ranges(s, None, Some((5, 2)))),
+            with(|s| set_ranges(s, None, Some((0, 0)))),
+            with(|s| set_ranges(s, Some((0, 0)), None)),
+            with(|s| {
+                set_ranges(s, None, Some((1, 1)));
+                s.cores = vec![8];
+                s.utilizations = UtilizationGrid::Fractions(vec![0.6]);
+            }),
         ] {
             let reason = spec.validate().expect_err("the spec is invalid");
             let mut sink = VecSink::new();

@@ -1,10 +1,13 @@
-//! Command-line reading for the `dse` and `dse-serve` binaries.
+//! Command-line reading for the `dse` and `dse-serve` binaries and the
+//! figure binaries of `hydra-bench`.
 //!
 //! [`Args`] checks an argument list against the option lines of a usage
 //! text, so each binary's help text stays the one list of options it
 //! accepts. [`Args::spec_fields`] reads the sweep-spec options into
-//! [`SpecFields`]; it checks only their syntax, and
-//! [`SpecFields::into_spec`] applies the defaults and the input rules.
+//! [`SpecFields`]; it checks only their syntax.
+//! [`SpecFields::into_spec`] applies the defaults and ends with
+//! [`crate::ScenarioSpec::validate`], which holds every rule on values and
+//! which the figure binaries apply to the specs they build themselves.
 
 use std::str::FromStr;
 

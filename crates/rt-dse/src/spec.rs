@@ -12,7 +12,7 @@ use hydra_core::{readapt_allocation_with_mode, JointOptions};
 use hydra_core::{Allocation, AllocationProblem, NpHydraAllocator, PrecedenceHydraAllocator};
 use rt_core::batch::BatchMode;
 use rt_core::Time;
-use taskgen::SyntheticConfig;
+use taskgen::{DrawError, SyntheticConfig};
 
 /// The allocation schemes the sweep engine can compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -265,9 +265,8 @@ pub enum UtilizationGrid {
 }
 
 impl UtilizationGrid {
-    /// Expands the axis for a platform with `cores` cores. Returns `None`
-    /// entries never — an inapplicable axis expands to a single `None`-like
-    /// sentinel handled by the grid expander.
+    /// Expands the axis for a platform with `cores` cores; an inapplicable
+    /// axis expands to no point.
     #[must_use]
     pub fn points(&self, cores: usize) -> Vec<f64> {
         match self {
@@ -424,12 +423,15 @@ impl ScenarioSpec {
 
     /// Refuses a spec the engine cannot run as written, instead of letting
     /// it stream a wrong, duplicated or empty result or panic mid-run: zero
-    /// trials, a value listed twice on the cores, utilization, allocator or
-    /// policy axis, an empty utilization list, zero utilization steps, a
-    /// zero sample, a detection run with no horizon or no attacks, or a
-    /// frontier search that has no utilization axis to bisect or is asked
-    /// to sample the grid (the frontier plans its own points). The CLI, the
-    /// server and [`crate::SweepSession`] all apply it.
+    /// trials; an empty axis or one that lists a value twice; a zero core
+    /// count or utilization step count, or a utilization that is not
+    /// positive and finite; a zero sample; a detection run with no horizon
+    /// or no attacks; a synthetic workload whose task counts cannot draw
+    /// some point of its utilization axis ([`SyntheticConfig::check_draw`])
+    /// or that has none; or a frontier search asked to sample the grid (it
+    /// plans its own points) or given no utilization axis to bisect. The
+    /// CLI, the server, the figure binaries and [`crate::SweepSession`] all
+    /// apply it.
     ///
     /// # Errors
     ///
@@ -439,23 +441,30 @@ impl ScenarioSpec {
         if self.trials == 0 {
             return Err("trials must be at least 1".to_owned());
         }
-        no_repeats("cores", &self.cores, usize::to_string)?;
+        const NO_CORES: &str = "cores requires one or more core counts >= 1";
+        if self.cores.contains(&0) {
+            return Err(NO_CORES.to_owned());
+        }
+        axis("cores", &self.cores, NO_CORES, usize::to_string)?;
         match &self.utilizations {
             UtilizationGrid::NormalizedSteps(0) => {
                 return Err("util_steps must be at least 1".to_owned());
             }
             UtilizationGrid::Fractions(values) => {
-                if values.is_empty() {
-                    return Err("utils must list at least one utilization".to_owned());
+                let empty = "utils must list at least one utilization";
+                axis("utils", values, empty, f64::to_string)?;
+                if let Some(bad) = values.iter().find(|f| !(**f > 0.0 && f.is_finite())) {
+                    return Err(format!("utils must be positive and finite, got {bad}"));
                 }
-                no_repeats("utils", values, f64::to_string)?;
             }
             _ => {}
         }
-        no_repeats("allocators", &self.allocators, |kind| {
+        let empty = "at least one allocator is required";
+        axis("allocators", &self.allocators, empty, |kind| {
             kind.label().to_owned()
         })?;
-        no_repeats("period_policies", &self.period_policies, |policy| {
+        let empty = "at least one period policy is required";
+        axis("period_policies", &self.period_policies, empty, |policy| {
             policy.label().to_owned()
         })?;
         if self.expansion == Expansion::Sampled(0) {
@@ -471,6 +480,19 @@ impl ScenarioSpec {
                 return Err("attacks must be at least 1".to_owned());
             }
         }
+        if let Workload::Synthetic(overrides) = self.workload {
+            if self.utilizations == UtilizationGrid::NotApplicable {
+                return Err("workload synthetic needs a utilization axis".to_owned());
+            }
+            for &cores in &self.cores {
+                let config = overrides.config_for(cores);
+                for total in self.utilizations.points(cores) {
+                    config
+                        .check_draw(total)
+                        .map_err(|error| draw_refusal(error, &config, total))?;
+                }
+            }
+        }
         if let ExploreMode::Frontier(_) = self.explore {
             if let Expansion::Sampled(_) = self.expansion {
                 return Err(
@@ -478,14 +500,8 @@ impl ScenarioSpec {
                         .to_owned(),
                 );
             }
-            let no_axis = match self.workload {
-                Workload::CaseStudyUav => true,
-                Workload::Synthetic(_) => self
-                    .cores
-                    .iter()
-                    .all(|&cores| self.utilizations.points(cores).is_empty()),
-            };
-            if no_axis {
+            // A synthetic spec has a utilization axis (checked above).
+            if self.workload == Workload::CaseStudyUav {
                 return Err(
                     "frontier exploration needs a utilization axis to bisect, and this \
                      workload has none"
@@ -497,13 +513,41 @@ impl ScenarioSpec {
     }
 }
 
-/// Refuses an axis that lists one value twice: every scenario of that value
-/// would run, and be counted, twice.
-fn no_repeats<T: PartialEq>(
+/// Names, by request key, what a synthetic spec's generator `config`
+/// lacks to draw the utilization point `total`.
+fn draw_refusal(error: DrawError, config: &SyntheticConfig, total: f64) -> String {
+    let cores = config.cores;
+    let (key, kind, (lo, hi), needed) = match error {
+        DrawError::Utilization => {
+            return format!("utilization {total} on {cores} cores must be positive and finite")
+        }
+        DrawError::RtTasks(needed) => ("rt_tasks", "real-time", config.rt_tasks, needed),
+        DrawError::SecurityTasks(needed) => {
+            ("sec_tasks", "security", config.security_tasks, needed)
+        }
+    };
+    if lo == 0 || lo > hi {
+        format!("{key} range [{lo}, {hi}] is empty or zero")
+    } else {
+        format!(
+            "utilization {total} on {cores} cores needs at least {needed} {kind} tasks, \
+             but {key} starts at {lo}"
+        )
+    }
+}
+
+/// Refuses an empty axis with the message `empty`, and one that lists a
+/// value twice: every scenario of that value would run, and be counted,
+/// twice.
+fn axis<T: PartialEq>(
     key: &str,
     values: &[T],
+    empty: &str,
     show: impl Fn(&T) -> String,
 ) -> Result<(), String> {
+    if values.is_empty() {
+        return Err(empty.to_owned());
+    }
     match (1..values.len()).find(|&i| values[..i].contains(&values[i])) {
         Some(i) => Err(format!("{key} lists {} twice", show(&values[i]))),
         None => Ok(()),
@@ -516,10 +560,11 @@ fn no_repeats<T: PartialEq>(
 /// `dse sweep` options are the same names with `-` for `_`, except that
 /// `period_policies` is `--period-policy`.
 ///
-/// [`SpecFields::into_spec`] is the one place that applies the defaults and
-/// the input rules, so both surfaces build equal specs from equal input and
-/// refuse bad input with the same message. Each surface fills every field
-/// itself, so a new field does not compile until both read it.
+/// [`SpecFields::into_spec`] is the one place that builds a spec from them,
+/// and [`ScenarioSpec::validate`], which it ends with, holds every rule on
+/// values, so both surfaces build equal specs from equal input and refuse
+/// bad input with the same message. Each surface fills every field itself,
+/// so a new field does not compile until both read it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpecFields {
     /// Sweep name, the output file stem (default `sweep`).
@@ -558,15 +603,17 @@ pub struct SpecFields {
 }
 
 impl SpecFields {
-    /// Builds the spec: applies the defaults and the input rules, then
+    /// Builds the spec: parses the labels, applies the defaults and the
+    /// rules on which fields apply together, bounds `utils` at 1, then
     /// [`ScenarioSpec::validate`].
     ///
     /// # Errors
     ///
     /// A message naming the offending field by its request key: an unknown
-    /// label, a value out of range, a field that does not apply next to the
-    /// others (`utils` with `util_steps`, or a detection-, synthetic- or
-    /// frontier-only field without that setting), or what `validate` refuses.
+    /// label, a malformed value, a `utils` fraction above 1, a field that
+    /// does not apply next to the others (`utils` with `util_steps`, or a
+    /// detection-, synthetic- or frontier-only field without that setting),
+    /// or what `validate` refuses.
     pub fn into_spec(self) -> Result<ScenarioSpec, String> {
         let refuse = |present: bool, key: &str, applies_to: &str| {
             if present {
@@ -579,9 +626,6 @@ impl SpecFields {
             "synthetic" => Workload::Synthetic(SyntheticOverrides {
                 security_tasks: match self.sec_tasks.as_deref() {
                     None => None,
-                    Some(&[lo, hi]) if lo == 0 || lo > hi => {
-                        return Err(format!("sec_tasks range [{lo}, {hi}] is empty or zero"));
-                    }
                     Some(&[lo, hi]) => Some((lo, hi)),
                     Some(_) => return Err("sec_tasks expects two counts, lo and hi".to_owned()),
                 },
@@ -624,18 +668,15 @@ impl SpecFields {
                 return Err("utils cannot be combined with util_steps".to_owned());
             }
             (_, Some(fractions), None) => {
-                if fractions.iter().any(|f| !(*f > 0.0 && *f <= 1.0)) {
+                // Library specs may sweep past one task set per core; the
+                // request surfaces stop at a fully loaded platform.
+                if fractions.iter().any(|f| *f > 1.0) {
                     return Err("utils fractions must lie in (0, 1]".to_owned());
                 }
                 UtilizationGrid::Fractions(fractions)
             }
             (_, None, steps) => UtilizationGrid::NormalizedSteps(steps.unwrap_or(13)),
         };
-
-        let cores = self.cores.unwrap_or_else(|| vec![2, 4, 8]);
-        if cores.is_empty() || cores.contains(&0) {
-            return Err("cores requires one or more core counts >= 1".to_owned());
-        }
 
         let explore = match self.explore.as_deref().unwrap_or("exhaustive") {
             "exhaustive" => {
@@ -658,7 +699,7 @@ impl SpecFields {
             name: self.name.unwrap_or_else(|| "sweep".to_owned()),
             workload,
             evaluation,
-            cores,
+            cores: self.cores.unwrap_or_else(|| vec![2, 4, 8]),
             utilizations,
             allocators: labels(
                 self.allocators,
@@ -696,9 +737,6 @@ fn labels<T: Copy>(
     let Some(labels) = labels else {
         return Ok(default.to_vec());
     };
-    if labels.is_empty() {
-        return Err(format!("at least one {what} is required"));
-    }
     labels
         .iter()
         .map(|label| parse(label).ok_or_else(|| format!("unknown {what}: {label}")))

@@ -76,7 +76,7 @@ fn malformed_arguments_exit_2_before_writing_anything() {
 #[test]
 fn specs_the_planner_cannot_honour_exit_2_before_writing_anything() {
     let cwd = temp_dir("invalid-spec");
-    let cases: [(&[&str], &str); 30] = [
+    let cases: [(&[&str], &str); 31] = [
         (
             &["--explore", "frontier", "--sample", "5"],
             "frontier exploration plans its own points and cannot sample the grid",
@@ -143,6 +143,10 @@ fn specs_the_planner_cannot_honour_exit_2_before_writing_anything() {
         (
             &["--sec-tasks", "5,2"],
             "sec_tasks range [5, 2] is empty or zero",
+        ),
+        (
+            &["--sec-tasks", "1,1", "--cores", "8", "--utils", "0.6"],
+            "utilization 4.8 on 8 cores needs at least 2 security tasks, but sec_tasks starts at 1",
         ),
         (
             &["--allocators", "warpdrive"],

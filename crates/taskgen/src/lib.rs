@@ -38,4 +38,4 @@ pub mod synthetic;
 
 pub use randfixedsum::{randfixedsum, uunifast_discard};
 pub use seeded::{derive_seed, generate_problem_seeded, stream_rng};
-pub use synthetic::{generate_problem, SyntheticConfig};
+pub use synthetic::{generate_problem, DrawError, SyntheticConfig};

@@ -9,9 +9,11 @@
 //!   system utilisation (swept from `0.025 M` to `0.975 M`),
 //! * security utilisation capped at 30 % of the real-time utilisation.
 //!
-//! [`generate_problem`] produces one such [`AllocationProblem`];
-//! [`SyntheticConfig`] holds every knob so ablation experiments can deviate
-//! from the defaults.
+//! [`generate_problem`] produces one such [`AllocationProblem`]. The
+//! constants below fix the setup; [`SyntheticConfig`] holds what the
+//! experiments vary: the core count and the two task-count ranges.
+
+use std::fmt;
 
 use hydra_core::{AllocationProblem, SecurityTask, SecurityTaskSet};
 use rand::Rng;
@@ -19,6 +21,20 @@ use rt_core::{RtTask, TaskSet, Time};
 
 use crate::periods::uniform_period_ms;
 use crate::randfixedsum::randfixedsum;
+
+/// Real-time period range in milliseconds.
+pub const RT_PERIOD_MS: (u64, u64) = (10, 1_000);
+/// Desired security period range in milliseconds.
+pub const SECURITY_PERIOD_MS: (u64, u64) = (1_000, 3_000);
+/// `T^max` as a multiple of `T^des`.
+pub const MAX_PERIOD_FACTOR: u64 = 10;
+/// Largest security utilisation as a fraction of the real-time
+/// utilisation (the paper's 30 %).
+pub const SECURITY_SHARE: f64 = 0.3;
+/// Smallest security utilisation fraction a problem draws.
+const MIN_SECURITY_FRACTION: f64 = 0.05;
+/// Smallest WCET ever generated (guards against zero after rounding).
+pub const MIN_WCET: Time = Time::from_micros(10);
 
 /// Configuration of the synthetic workload generator.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,17 +45,37 @@ pub struct SyntheticConfig {
     pub rt_tasks: (usize, usize),
     /// Range (inclusive) of the number of security tasks.
     pub security_tasks: (usize, usize),
-    /// Real-time period range in milliseconds.
-    pub rt_period_ms: (u64, u64),
-    /// Desired security period range in milliseconds.
-    pub security_period_ms: (u64, u64),
-    /// `T^max` as a multiple of `T^des`.
-    pub max_period_factor: u64,
-    /// Maximum security utilisation as a fraction of the real-time
-    /// utilisation (`0.3` in the paper).
-    pub security_share: f64,
-    /// Smallest WCET ever generated (guards against zero after rounding).
-    pub min_wcet: Time,
+}
+
+/// Why [`generate_problem`] cannot draw a problem from a configuration at
+/// some total utilisation (see [`SyntheticConfig::check_draw`]). A range
+/// variant carries the smallest low end the range may have: the fewest
+/// tasks that can carry the largest utilisation of their kind a draw can
+/// ask for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DrawError {
+    /// The total utilisation is not positive and finite.
+    Utilization,
+    /// The real-time task-count range is empty or starts too low.
+    RtTasks(usize),
+    /// The security task-count range is empty or starts too low.
+    SecurityTasks(usize),
+}
+
+impl fmt::Display for DrawError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (kind, needed) = match *self {
+            DrawError::Utilization => {
+                return f.write_str("total utilisation must be positive and finite")
+            }
+            DrawError::RtTasks(needed) => ("real-time", needed),
+            DrawError::SecurityTasks(needed) => ("security", needed),
+        };
+        write!(
+            f,
+            "the {kind} task range must be non-empty and start at {needed} or more"
+        )
+    }
 }
 
 impl SyntheticConfig {
@@ -55,64 +91,79 @@ impl SyntheticConfig {
             cores,
             rt_tasks: (3 * cores, 10 * cores),
             security_tasks: (2 * cores, 5 * cores),
-            rt_period_ms: (10, 1_000),
-            security_period_ms: (1_000, 3_000),
-            max_period_factor: 10,
-            security_share: 0.3,
-            min_wcet: Time::from_micros(10),
+        }
+    }
+
+    /// Checks that [`generate_problem`] can draw a problem of total
+    /// utilisation `total_utilization` from this configuration, whatever
+    /// its RNG yields: the total is positive and finite, and each
+    /// task-count range is non-empty and starts at a count that can carry
+    /// the largest utilisation of its kind a draw can ask for.
+    ///
+    /// # Errors
+    ///
+    /// The first condition that does not hold.
+    pub fn check_draw(&self, total_utilization: f64) -> Result<(), DrawError> {
+        if !(total_utilization > 0.0 && total_utilization.is_finite()) {
+            return Err(DrawError::Utilization);
+        }
+        // A split's real-time part shrinks and its security part grows with
+        // the drawn fraction, so its bounds give the largest of each; and
+        // `randfixedsum` draws one value or more, summing to at most `n`.
+        let needed = |largest: f64| (largest.ceil() as usize).max(1);
+        let fits = |(lo, hi): (usize, usize), needed| needed <= lo && lo <= hi;
+        let rt = needed(split_at(total_utilization, MIN_SECURITY_FRACTION).0);
+        let security = needed(split_at(total_utilization, SECURITY_SHARE).1);
+        if !fits(self.rt_tasks, rt) {
+            Err(DrawError::RtTasks(rt))
+        } else if !fits(self.security_tasks, security) {
+            Err(DrawError::SecurityTasks(security))
+        } else {
+            Ok(())
         }
     }
 }
 
-fn split_utilization<R: Rng + ?Sized>(total: f64, share: f64, rng: &mut R) -> (f64, f64) {
-    // Draw the security share of the *real-time* utilisation uniformly in
-    // (0, share], then split the requested total so that
-    // u_sec = frac · u_rt and u_rt + u_sec = total.
-    let frac = if share <= 0.0 {
-        0.0
-    } else {
-        rng.gen_range(0.05_f64..=share)
-    };
+/// Splits `total` into real-time and security utilisation so that
+/// `u_sec = frac · u_rt` and `u_rt + u_sec = total`.
+fn split_at(total: f64, frac: f64) -> (f64, f64) {
     let u_rt = total / (1.0 + frac);
-    let u_sec = total - u_rt;
-    (u_rt, u_sec)
+    (u_rt, total - u_rt)
 }
 
 /// Generates one synthetic allocation problem with the given total system
-/// utilisation (real-time plus security at desired periods).
+/// utilisation (real-time plus security at desired periods). The security
+/// share of the real-time utilisation is drawn uniformly from
+/// `[0.05, SECURITY_SHARE]`.
 ///
 /// # Panics
 ///
-/// Panics if `total_utilization` is not positive or exceeds what the
-/// generated task counts can express (each task's utilisation must fit in
-/// `[0, 1]`, so the total must stay below the minimum task count — always the
-/// case for the paper's parameter ranges where `U ≤ 0.975 M < 3M`).
+/// Panics if [`SyntheticConfig::check_draw`] refuses `total_utilization`
+/// (for the paper's ranges, every total up to `3 M` passes), or if
+/// `config.cores` is zero.
 #[must_use]
 pub fn generate_problem<R: Rng + ?Sized>(
     config: &SyntheticConfig,
     total_utilization: f64,
     rng: &mut R,
 ) -> AllocationProblem {
+    let drawable = config.check_draw(total_utilization);
     assert!(
-        total_utilization > 0.0 && total_utilization.is_finite(),
-        "total utilisation must be positive"
+        drawable.is_ok(),
+        "cannot draw utilisation {total_utilization} from {config:?}: {}",
+        drawable.map_or_else(|error| error.to_string(), |()| String::new())
     );
     let n_rt = rng.gen_range(config.rt_tasks.0..=config.rt_tasks.1);
     let n_sec = rng.gen_range(config.security_tasks.0..=config.security_tasks.1);
-    let (u_rt, u_sec) = split_utilization(total_utilization, config.security_share, rng);
-    assert!(
-        u_rt <= n_rt as f64 && u_sec <= n_sec as f64,
-        "requested utilisation cannot be expressed by {n_rt}+{n_sec} tasks"
-    );
+    let frac = rng.gen_range(MIN_SECURITY_FRACTION..=SECURITY_SHARE);
+    let (u_rt, u_sec) = split_at(total_utilization, frac);
 
     let rt_utils = randfixedsum(n_rt, u_rt, rng);
     let mut rt_tasks = TaskSet::empty();
     for u in rt_utils {
-        let period = uniform_period_ms(config.rt_period_ms.0, config.rt_period_ms.1, rng);
+        let period = uniform_period_ms(RT_PERIOD_MS.0, RT_PERIOD_MS.1, rng);
         let wcet_ticks = (u * period.as_ticks() as f64).round() as u64;
-        let wcet = Time::from_ticks(wcet_ticks)
-            .max(config.min_wcet)
-            .min(period);
+        let wcet = Time::from_ticks(wcet_ticks).max(MIN_WCET).min(period);
         rt_tasks.push(
             RtTask::implicit_deadline(wcet, period).expect("generated RT parameters are valid"),
         );
@@ -121,16 +172,10 @@ pub fn generate_problem<R: Rng + ?Sized>(
     let sec_utils = randfixedsum(n_sec, u_sec, rng);
     let mut security_tasks = SecurityTaskSet::empty();
     for u in sec_utils {
-        let desired = uniform_period_ms(
-            config.security_period_ms.0,
-            config.security_period_ms.1,
-            rng,
-        );
-        let max_period = desired * config.max_period_factor;
+        let desired = uniform_period_ms(SECURITY_PERIOD_MS.0, SECURITY_PERIOD_MS.1, rng);
+        let max_period = desired * MAX_PERIOD_FACTOR;
         let wcet_ticks = (u * desired.as_ticks() as f64).round() as u64;
-        let wcet = Time::from_ticks(wcet_ticks)
-            .max(config.min_wcet)
-            .min(desired);
+        let wcet = Time::from_ticks(wcet_ticks).max(MIN_WCET).min(desired);
         security_tasks.push(
             SecurityTask::new(wcet, desired, max_period)
                 .expect("generated security parameters are valid"),
@@ -151,10 +196,68 @@ mod tests {
         let cfg = SyntheticConfig::paper_default(4);
         assert_eq!(cfg.rt_tasks, (12, 40));
         assert_eq!(cfg.security_tasks, (8, 20));
-        assert_eq!(cfg.rt_period_ms, (10, 1000));
-        assert_eq!(cfg.security_period_ms, (1000, 3000));
-        assert_eq!(cfg.max_period_factor, 10);
-        assert!((cfg.security_share - 0.3).abs() < 1e-12);
+        assert_eq!(RT_PERIOD_MS, (10, 1000));
+        assert_eq!(SECURITY_PERIOD_MS, (1000, 3000));
+        assert_eq!(MAX_PERIOD_FACTOR, 10);
+        assert!((SECURITY_SHARE - 0.3).abs() < 1e-12);
+    }
+
+    /// An RNG whose every word is `word`: `u64::MAX` makes the split's
+    /// inclusive float draw return its upper end, `0` its lower end.
+    struct ConstRng(u64);
+
+    impl rand::RngCore for ConstRng {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn the_split_fraction_stays_within_the_bounds_check_draw_assumes() {
+        for (word, bound) in [(0, MIN_SECURITY_FRACTION), (u64::MAX, SECURITY_SHARE)] {
+            let frac = ConstRng(word).gen_range(MIN_SECURITY_FRACTION..=SECURITY_SHARE);
+            assert_eq!(frac.to_bits(), bound.to_bits());
+        }
+    }
+
+    #[test]
+    fn check_draw_names_the_range_that_cannot_hold_its_share() {
+        let mut cfg = SyntheticConfig::paper_default(8);
+        assert_eq!(cfg.check_draw(0.975 * 8.0), Ok(()));
+        // 8 cores at 0.6 each: up to 4.8 - 4.8 / 1.3 ≈ 1.108 is security
+        // utilisation, more than one task can carry.
+        cfg.security_tasks = (1, 1);
+        assert_eq!(cfg.check_draw(4.8), Err(DrawError::SecurityTasks(2)));
+        assert_eq!(cfg.check_draw(4.0), Ok(()));
+        cfg.security_tasks = (5, 2);
+        assert_eq!(cfg.check_draw(4.0), Err(DrawError::SecurityTasks(1)));
+        cfg.security_tasks = (2, 5);
+        cfg.rt_tasks = (0, 0);
+        assert_eq!(cfg.check_draw(0.5), Err(DrawError::RtTasks(1)));
+        cfg.rt_tasks = (3, 30);
+        assert_eq!(cfg.check_draw(4.0), Err(DrawError::RtTasks(4)));
+        for total in [0.0, -0.5, f64::NAN, f64::INFINITY] {
+            assert_eq!(cfg.check_draw(total), Err(DrawError::Utilization));
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn generation_never_panics_where_check_draw_passes(
+            rt in (0usize..12, 0usize..24),
+            sec in (0usize..8, 0usize..16),
+            total in 0.0f64..12.0,
+            cores in 1usize..8,
+        ) {
+            let cfg = SyntheticConfig { cores, rt_tasks: rt, security_tasks: sec };
+            if cfg.check_draw(total).is_ok() {
+                for seed in 0..64 {
+                    let problem = generate_problem(&cfg, total, &mut StdRng::seed_from_u64(seed));
+                    proptest::prop_assert!((rt.0..=rt.1).contains(&problem.rt_tasks.len()));
+                    proptest::prop_assert!((sec.0..=sec.1).contains(&problem.security_tasks.len()));
+                }
+            }
+        }
     }
 
     #[test]
